@@ -59,7 +59,7 @@ namespace setint::bench {
 // v3 (SIMD engine PR): environment gains a "cpu" block — the detected
 // feature bits (avx2, sse4_1, popcnt) and the kernel tier the process
 // actually dispatched to (environment.cpu.dispatch_tier: "scalar" |
-// "sse41" | "avx2", after SETINT_FORCE_SCALAR / SETINT_FORCE_TIER).
+// "avx2", after SETINT_FORCE_SCALAR).
 // Timing numbers from records with different dispatch_tier values are
 // incomparable; tools/bench_compare refuses to diff them even under
 // --perf-tol. tools/bench_compare consumes v1 through v3.

@@ -62,15 +62,10 @@ double estimate_local_ns(PlanKind kind, const PlannerQuery& query,
                          int rounds_r, simd::Tier tier) {
   validate(query);
   // Per-element throughput constants (ns/element on the reference box,
-  // BENCH_cpu.json SIMD lane). Hash lanes default-route to the batched
-  // scalar pipeline at EVERY hardware tier — the measured crossover says
-  // scalar MULX beats the AVX2 32-bit-limb mulhi emulation (see
-  // simd/kernels.cc hash_lane_tier) — so their cost is tier-independent.
-  // The intersection oracle genuinely gains on both vector tiers.
+  // BENCH_cpu.json SIMD lane). Hashing is plain scalar code, so its cost
+  // is tier-independent; the intersection oracle gains on the AVX2 tier.
   const double hash_ns = 5.0;
-  const double isect_ns = tier == simd::Tier::kAvx2  ? 0.6
-                          : tier == simd::Tier::kSse41 ? 2.0
-                                                       : 3.0;
+  const double isect_ns = tier == simd::Tier::kAvx2 ? 0.6 : 3.0;
   const double k = static_cast<double>(query.k);
   switch (kind) {
     case PlanKind::kDeterministicExchange:

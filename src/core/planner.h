@@ -11,12 +11,12 @@
 //
 // Besides bits-on-the-wire, every plan carries a local-compute estimate
 // that knows which SIMD kernel tier the process dispatched to (scalar /
-// SSE4.1 / AVX2 — src/simd/dispatch.h): the same protocol costs
-// measurably different CPU depending on whether the hash lanes and the
-// intersection oracle run vectorized. Ties on bits break toward the
-// cheaper local estimate. The dispatch ladder, kernel-selection
-// heuristic, and the crossover table behind these constants are
-// documented in docs/PERFORMANCE.md ("The SIMD dispatch ladder").
+// AVX2 — src/simd/dispatch.h): the same protocol costs measurably
+// different CPU depending on whether the intersection oracle runs
+// vectorized. Ties on bits break toward the cheaper local estimate. The
+// dispatch ladder, kernel-selection heuristic, and the crossover table
+// behind these constants are documented in docs/PERFORMANCE.md ("The
+// SIMD dispatch ladder").
 #pragma once
 
 #include <cstdint>

@@ -37,12 +37,6 @@ class Reducer64 {
 
   std::uint64_t divisor() const { return d_; }
 
-  // Halves of the precomputed magic M = ceil(2^128 / d) (0 when d == 1),
-  // exported so the SIMD hash lanes (src/simd/kernels.h) can replicate
-  // mod() exactly from plain 64-bit constants.
-  std::uint64_t magic_hi() const { return static_cast<std::uint64_t>(m_ >> 64); }
-  std::uint64_t magic_lo() const { return static_cast<std::uint64_t>(m_); }
-
   // Exact a % d for any 64-bit a (Lemire & Kaser 2019, Theorem 1 with
   // N = 64, F = 2^128).
   std::uint64_t mod(std::uint64_t a) const {
@@ -67,9 +61,6 @@ class Montgomery64 {
   explicit Montgomery64(std::uint64_t m);
 
   std::uint64_t modulus() const { return m_; }
-
-  // The REDC constant -m^-1 mod 2^64, exported for the SIMD hash lanes.
-  std::uint64_t neg_inv() const { return neg_inv_; }
 
   // a * R mod m (R = 2^64): enter the Montgomery domain.
   std::uint64_t to_mont(std::uint64_t a) const {

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "hashing/primes.h"
-#include "simd/kernels.h"
 #include "util/iterated_log.h"
 
 namespace setint::hashing {
@@ -36,21 +35,6 @@ void PairwiseHash::hash_many(std::span<const std::uint64_t> xs,
                              std::span<std::uint64_t> out) const {
   if (out.size() < xs.size()) {
     throw std::invalid_argument("PairwiseHash::hash_many: output too small");
-  }
-  if (mont_) {
-    // Hand the whole batch to the SIMD engine (4-wide mulhi pipelines on
-    // the AVX2 tier, the identical scalar chain otherwise). Exact on
-    // every tier, so batched == scalar == pre-SIMD output bit for bit.
-    simd::PairwiseConstants c;
-    c.p = p_;
-    c.b = b_;
-    c.t = t_;
-    c.a_mont = a_mont_;
-    c.neg_inv = mont_->neg_inv();
-    c.red_p = {red_p_.magic_hi(), red_p_.magic_lo(), red_p_.divisor()};
-    c.red_t = {red_t_.magic_hi(), red_t_.magic_lo(), red_t_.divisor()};
-    simd::pairwise_hash_many(c, xs, out);
-    return;
   }
   for (std::size_t i = 0; i < xs.size(); ++i) out[i] = (*this)(xs[i]);
 }

@@ -43,8 +43,7 @@ class PairwiseHash {
 
   // Array-batched evaluation: out[i] = (*this)(xs[i]). Requires
   // out.size() >= xs.size(). Same values as the scalar loop (pinned by
-  // tests/bitio_property_test.cc), with the per-call branch on the
-  // Montgomery context hoisted out of the loop.
+  // tests/bitio_property_test.cc).
   void hash_many(std::span<const std::uint64_t> xs,
                  std::span<std::uint64_t> out) const;
 

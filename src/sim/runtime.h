@@ -7,7 +7,7 @@
 // ONLY its own input and randomness view, reacting to delivered messages.
 // A protocol implemented this way provably uses no out-of-band knowledge.
 //
-// The concrete parties in sim/parties.h mirror the driver implementations
+// The concrete parties in core/parties.h mirror the driver implementations
 // bit-for-bit (same substream labels, same encodings), so the equivalence
 // tests in tests/runtime_test.cc can compare whole transcripts digests —
 // the strongest evidence the driver versions don't cheat.

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 
 namespace setint::simd {
 
@@ -21,48 +20,25 @@ CpuFeatures detect() {
 }
 
 Tier tier_from_features(const CpuFeatures& f) {
-  // POPCNT gates both vector tiers: the SSE4.1 kernels lean on hardware
-  // popcount and every AVX2 part has it anyway.
+  // The AVX2 bitmap kernels lean on hardware popcount for their tails.
   if (f.avx2 && f.popcnt) return Tier::kAvx2;
-  if (f.sse4_1 && f.popcnt) return Tier::kSse41;
   return Tier::kScalar;
 }
 
-// Environment cap, parsed once. SETINT_FORCE_SCALAR=1 (or any value other
-// than "0"/"") wins over SETINT_FORCE_TIER.
+// Environment cap, parsed once. SETINT_FORCE_SCALAR set to any value
+// other than "0" or "" pins the whole process to the scalar tier.
 struct EnvTier {
   Tier tier;
-  bool forced;  // an env override was present and recognized
+  bool forced;  // the override was present
 };
 
 EnvTier env_capped_tier() {
-  const Tier hw = tier_from_features(detected_features());
   const char* scalar = std::getenv("SETINT_FORCE_SCALAR");
   if (scalar != nullptr && scalar[0] != '\0' &&
       !(scalar[0] == '0' && scalar[1] == '\0')) {
     return {Tier::kScalar, true};
   }
-  const char* name = std::getenv("SETINT_FORCE_TIER");
-  if (name != nullptr) {
-    Tier requested = hw;
-    bool recognized = false;
-    if (std::strcmp(name, "scalar") == 0) {
-      requested = Tier::kScalar;
-      recognized = true;
-    } else if (std::strcmp(name, "sse41") == 0) {
-      requested = Tier::kSse41;
-      recognized = true;
-    } else if (std::strcmp(name, "avx2") == 0) {
-      requested = Tier::kAvx2;
-      recognized = true;
-    }
-    // Clamp: forcing a tier the hardware lacks must not SIGILL.
-    if (static_cast<int>(requested) < static_cast<int>(hw)) {
-      return {requested, recognized};
-    }
-    return {hw, recognized};
-  }
-  return {hw, false};
+  return {tier_from_features(detected_features()), false};
 }
 
 const EnvTier& env_tier_cached() {
@@ -97,8 +73,6 @@ const char* tier_name(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return "scalar";
-    case Tier::kSse41:
-      return "sse41";
     case Tier::kAvx2:
       return "avx2";
   }

@@ -1,23 +1,21 @@
 // Runtime CPU dispatch for the SIMD local-compute engine.
 //
 // The wire format is sacred; the local compute between messages is not.
-// Every kernel in src/simd/ exists in up to three tiers — portable scalar,
-// SSE4.1, AVX2 — selected ONCE per process from cpuid, so callers never
-// see intrinsics and a binary built with the per-file ISA flags still runs
-// on any x86-64 (the AVX2 translation unit is only entered when cpuid says
-// the instructions exist). Every tier computes bit-identical results: the
+// Every kernel in src/simd/ exists in two tiers — portable scalar and
+// AVX2 — selected ONCE per process from cpuid, so callers never see
+// intrinsics and a binary built with the per-file ISA flags still runs on
+// any x86-64 (the AVX2 translation unit is only entered when cpuid says
+// the instructions exist). Both tiers compute bit-identical results: the
 // golden transcripts and all protocol digests are pinned across forced
 // dispatch modes (tests/golden_test.cc, tests/transcript_digest_test.cc,
-// bench/exp_cpu E-CPU.0), and tests/simd_test.cc drives every tier against
-// the scalar reference on randomized inputs.
+// bench/exp_cpu E-CPU.0), and tests/simd_test.cc drives the AVX2 tier
+// against the scalar reference on randomized inputs.
 //
 // Overrides, in precedence order:
 //   1. simd::ScopedTierOverride — test-only forced dispatch, clamped to
 //      what the hardware supports;
 //   2. SETINT_FORCE_SCALAR=1 — environment knob for whole-process scalar
-//      runs (the ci.sh simd lane re-runs the label slice under it);
-//   3. SETINT_FORCE_TIER=scalar|sse41|avx2 — pin a specific tier, again
-//      clamped to the detected feature set.
+//      runs (the ci.sh simd lane re-runs the label slice under it).
 //
 // See docs/PERFORMANCE.md ("The SIMD dispatch ladder") for the kernel
 // inventory and the selection heuristics.
@@ -27,19 +25,16 @@
 
 namespace setint::simd {
 
-// Kernel tiers, ordered: a higher tier implies every capability of the
-// lower ones. kSse41 additionally assumes POPCNT (true on all SSE4.1-era
-// and later x86-64 parts we dispatch to; detection checks both bits).
+// Kernel tiers, ordered: the higher tier implies every capability of the
+// lower one. kAvx2 additionally assumes POPCNT (detection checks both).
 enum class Tier : int {
   kScalar = 0,
-  kSse41 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-inline constexpr int kNumTiers = 3;
-
-// CPU feature bits the engine cares about, as reported by cpuid. Recorded
-// in every BENCH_*.json environment block (bench/bench_util.h).
+// CPU feature bits as reported by cpuid. Recorded in every BENCH_*.json
+// environment block (bench/bench_util.h); sse4_1 is recorded only, no
+// tier depends on it.
 struct CpuFeatures {
   bool avx2 = false;
   bool sse4_1 = false;
@@ -53,18 +48,15 @@ const CpuFeatures& detected_features();
 Tier detected_tier();
 
 // The tier kernels actually dispatch to right now: detected_tier() capped
-// by the environment overrides and any live ScopedTierOverride.
+// by the environment override and any live ScopedTierOverride.
 Tier active_tier();
 
 // True when active_tier() comes from an override (scoped or environment)
-// rather than plain hardware detection. Kernel families whose measured
-// crossover says a narrower tier wins by default (the 64-bit hash lanes:
-// scalar mulx beats AVX2 32-bit-limb emulation) still honor a pinned
-// tier, so forced-dispatch differential suites reach every code path.
+// rather than plain hardware detection.
 bool tier_forced();
 
-// Stable lowercase name ("scalar", "sse41", "avx2") — used in BENCH
-// environment blocks, bench_compare classification, and test logs.
+// Stable lowercase name ("scalar", "avx2") — used in BENCH environment
+// blocks, bench_compare classification, and test logs.
 const char* tier_name(Tier tier);
 
 // Test/bench-only forced dispatch. Requests above detected_tier() are

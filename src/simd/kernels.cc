@@ -12,56 +12,6 @@
 
 namespace setint::simd {
 
-namespace {
-
-// Per-family routing for the hash lanes. Measured crossover (see
-// docs/PERFORMANCE.md "honest numbers"): the scalar pipeline's 64-bit
-// mulhi is one MULX, while AVX2 has no 64-bit multiply and must emulate
-// it from four 32-bit limb products — on AVX2-class cores the emulation
-// LOSES to scalar by ~2x, so default dispatch keeps hash lanes on the
-// scalar tier at every hardware level. A pinned tier (ScopedTierOverride
-// or SETINT_FORCE_*) is honored so the differential suites and exp_cpu's
-// E-CPU.7 gate still execute the vector hash kernels; the lanes also
-// stay the landing slot for AVX-512 IFMA parts, where 52-bit multipliers
-// flip the crossover.
-Tier hash_lane_tier() {
-  return tier_forced() ? active_tier() : Tier::kScalar;
-}
-
-}  // namespace
-
-void reduce_mod_many(const ReduceConstants& c,
-                     std::span<const std::uint64_t> xs,
-                     std::span<std::uint64_t> out) {
-  if (out.size() < xs.size()) {
-    throw std::invalid_argument("simd::reduce_mod_many: output too small");
-  }
-#if defined(__x86_64__) || defined(_M_X64)
-  // sse41 tier has no hash lanes (2-wide mulhi does not pay; see
-  // kernels_internal.h) — only avx2 diverges from scalar here.
-  if (hash_lane_tier() == Tier::kAvx2) {
-    avx2::reduce_mod_many(c, xs.data(), xs.size(), out.data());
-    return;
-  }
-#endif
-  scalar::reduce_mod_many(c, xs.data(), xs.size(), out.data());
-}
-
-void pairwise_hash_many(const PairwiseConstants& c,
-                        std::span<const std::uint64_t> xs,
-                        std::span<std::uint64_t> out) {
-  if (out.size() < xs.size()) {
-    throw std::invalid_argument("simd::pairwise_hash_many: output too small");
-  }
-#if defined(__x86_64__) || defined(_M_X64)
-  if (hash_lane_tier() == Tier::kAvx2) {
-    avx2::pairwise_hash_many(c, xs.data(), xs.size(), out.data());
-    return;
-  }
-#endif
-  scalar::pairwise_hash_many(c, xs.data(), xs.size(), out.data());
-}
-
 const char* intersect_algo_name(IntersectAlgo algo) {
   switch (algo) {
     case IntersectAlgo::kScalarMerge:
@@ -81,11 +31,11 @@ IntersectAlgo plan_intersect(std::size_t na, std::size_t nb, Tier tier) {
   if (na == 0) return IntersectAlgo::kScalarMerge;  // nothing to intersect
   const std::size_t ratio = nb / na;
   if (ratio >= kBlockGallopRatio) {
-    return tier >= Tier::kSse41 ? IntersectAlgo::kBlockGallop
-                                : IntersectAlgo::kGallop;
+    return tier == Tier::kAvx2 ? IntersectAlgo::kBlockGallop
+                               : IntersectAlgo::kGallop;
   }
   if (ratio >= kGallopRatio) return IntersectAlgo::kGallop;
-  if (tier >= Tier::kSse41 && na >= kBlockMinSmall) {
+  if (tier == Tier::kAvx2 && na >= kBlockMinSmall) {
     return IntersectAlgo::kBlock;
   }
   return IntersectAlgo::kScalarMerge;
@@ -113,9 +63,6 @@ std::size_t run_intersect(IntersectAlgo algo, Tier tier,
     case IntersectAlgo::kBlock:
 #if defined(__x86_64__) || defined(_M_X64)
       if (tier == Tier::kAvx2) return avx2::intersect_block(a, na, b, nb, out);
-      if (tier == Tier::kSse41) {
-        return sse41::intersect_block(a, na, b, nb, out);
-      }
 #endif
       // Scalar tier: the block kernel's natural degradation is the merge.
       return scalar::intersect_merge(a, na, b, nb, out);
@@ -123,9 +70,6 @@ std::size_t run_intersect(IntersectAlgo algo, Tier tier,
 #if defined(__x86_64__) || defined(_M_X64)
       if (tier == Tier::kAvx2) {
         return avx2::intersect_block_gallop(s, ns, l, nl, out);
-      }
-      if (tier == Tier::kSse41) {
-        return sse41::intersect_block_gallop(s, ns, l, nl, out);
       }
 #endif
       return scalar::intersect_gallop(s, ns, l, nl, out);
@@ -173,12 +117,8 @@ std::uint64_t bitmap_and_count(std::span<const std::uint64_t> a,
     throw std::invalid_argument("simd::bitmap_and_count: length mismatch");
   }
 #if defined(__x86_64__) || defined(_M_X64)
-  const Tier tier = active_tier();
-  if (tier == Tier::kAvx2) {
+  if (active_tier() == Tier::kAvx2) {
     return avx2::bitmap_and_count(a.data(), b.data(), a.size());
-  }
-  if (tier == Tier::kSse41) {
-    return sse41::bitmap_and_count(a.data(), b.data(), a.size());
   }
 #endif
   return scalar::bitmap_and_count(a.data(), b.data(), a.size());
@@ -191,13 +131,8 @@ void bitmap_and(std::span<const std::uint64_t> a,
     throw std::invalid_argument("simd::bitmap_and: length mismatch");
   }
 #if defined(__x86_64__) || defined(_M_X64)
-  const Tier tier = active_tier();
-  if (tier == Tier::kAvx2) {
+  if (active_tier() == Tier::kAvx2) {
     avx2::bitmap_and(a.data(), b.data(), out.data(), a.size());
-    return;
-  }
-  if (tier == Tier::kSse41) {
-    sse41::bitmap_and(a.data(), b.data(), out.data(), a.size());
     return;
   }
 #endif

@@ -1,25 +1,16 @@
 // The stable kernel API of the SIMD local-compute engine.
 //
-// Three kernel families, each dispatched at runtime across the tier
-// ladder of simd/dispatch.h (scalar / SSE4.1 / AVX2). Callers never see
-// intrinsics; they see plain functions over spans whose results are
-// bit-identical on every tier:
+// Two kernel families, each dispatched at runtime across the tier ladder
+// of simd/dispatch.h (scalar / AVX2). Callers never see intrinsics; they
+// see plain functions over spans whose results are bit-identical on both
+// tiers:
 //
-//   1. hash lanes — array-batched Barrett/Montgomery evaluation for the
-//      hash families in src/hashing/ (the pairwise Carter-Wegman pipeline
-//      and plain fixed-divisor reduction). The AVX2 tier runs 4-wide
-//      64-bit mulhi pipelines built from 32-bit limb products; the math is
-//      exact, so seeded draw order and golden transcripts are unchanged.
-//      Default dispatch keeps these lanes on the batched scalar pipeline
-//      (measured crossover: scalar MULX beats the limb emulation on
-//      AVX2-class cores — kernels.cc hash_lane_tier); pinning a tier via
-//      ScopedTierOverride / SETINT_FORCE_* executes the vector kernels.
-//   2. adaptive sorted-set intersection — an intersectInt-style oracle
+//   1. adaptive sorted-set intersection — an intersectInt-style oracle
 //      (Lemire/Kurz lineage): a size-ratio heuristic selects scalar merge,
 //      galloping, a SIMD block-compare kernel, or SIMD galloping. Backs
 //      util::set_intersection (the plaintext baseline, result
 //      verification, and the per-bucket set-reconcile steps).
-//   3. bitmap AND + popcount — StormBitmaps-style bucket-membership
+//   2. bitmap AND + popcount — StormBitmaps-style bucket-membership
 //      kernels over the occupancy bitmaps that util::FlatBuckets CSR
 //      tables carry (core/bucket_eq joins them to skip memberless
 //      buckets).
@@ -39,46 +30,7 @@
 namespace setint::simd {
 
 // ---------------------------------------------------------------------------
-// Family 1: hash lanes
-// ---------------------------------------------------------------------------
-
-// Constants for a Lemire-Kaser fixed-divisor reduction: M = ceil(2^128/d)
-// split into 64-bit halves, plus d itself. Mirrors hashing::Reducer64
-// (which exposes them via magic_hi()/magic_lo()).
-struct ReduceConstants {
-  std::uint64_t m_hi = 0;
-  std::uint64_t m_lo = 0;
-  std::uint64_t d = 1;
-};
-
-// out[i] = xs[i] mod d, exactly as hashing::Reducer64::mod computes it.
-// Requires out.size() >= xs.size().
-void reduce_mod_many(const ReduceConstants& c,
-                     std::span<const std::uint64_t> xs,
-                     std::span<std::uint64_t> out);
-
-// Constants for the full Carter-Wegman pipeline
-// ((a*x + b) mod p) mod t with a Montgomery product: everything
-// hashing::PairwiseHash precomputes, flattened to PODs so the kernel
-// layer needs no hashing types.
-struct PairwiseConstants {
-  std::uint64_t p = 0;
-  std::uint64_t b = 0;
-  std::uint64_t t = 0;
-  std::uint64_t a_mont = 0;   // a in Montgomery form (R = 2^64)
-  std::uint64_t neg_inv = 0;  // -p^-1 mod 2^64 (REDC constant)
-  ReduceConstants red_p;      // x mod p
-  ReduceConstants red_t;      // v mod t
-};
-
-// out[i] = ((a*xs[i] + b) mod p) mod t, bit-identical to the scalar
-// PairwiseHash::operator() chain. Requires out.size() >= xs.size().
-void pairwise_hash_many(const PairwiseConstants& c,
-                        std::span<const std::uint64_t> xs,
-                        std::span<std::uint64_t> out);
-
-// ---------------------------------------------------------------------------
-// Family 2: adaptive sorted-set intersection
+// Family 1: adaptive sorted-set intersection
 // ---------------------------------------------------------------------------
 
 // The algorithms behind the adaptive oracle. Selection is by size ratio
@@ -105,7 +57,7 @@ inline constexpr std::size_t kBlockGallopRatio = 1000;
 inline constexpr std::size_t kBlockMinSmall = 16;     // block needs >= 16
 
 // SIMD compress-stores write whole vectors: `out` must have room for
-// min(a.size(), b.size()) + kIntersectPadding elements on EVERY tier (the
+// min(a.size(), b.size()) + kIntersectPadding elements on BOTH tiers (the
 // requirement is tier-independent so buffer sizing cannot depend on
 // dispatch).
 inline constexpr std::size_t kIntersectPadding = 8;
@@ -126,7 +78,7 @@ std::size_t intersect_sorted_with(IntersectAlgo algo, Tier tier,
                                   std::span<std::uint64_t> out);
 
 // ---------------------------------------------------------------------------
-// Family 3: bitmap AND + popcount
+// Family 2: bitmap AND + popcount
 // ---------------------------------------------------------------------------
 
 // popcount(a & b) over two equal-length word arrays (StormBitmaps-style

@@ -2,19 +2,11 @@
 // (kernels.cc) and the tier translation units. Internal to src/simd/ —
 // callers use simd/kernels.h.
 //
-// Each vector TU is compiled with exactly the ISA flags its tier needs
-// (see src/CMakeLists.txt); code outside that TU must never call into it
+// The AVX2 TU is compiled with exactly the ISA flags its tier needs (see
+// src/CMakeLists.txt); code outside that TU must never call into it
 // unless cpuid says the instructions exist. The scalar namespace is the
-// reference implementation every other tier is differential-tested
-// against (tests/simd_test.cc).
-//
-// Tier notes:
-//   * sse41 carries real intersect + bitmap kernels but NO hash lanes:
-//     a 2-wide 64-bit mulhi pipeline spends more on limb shuffling than
-//     it saves over the scalar 128-bit multiply, so the dispatcher
-//     routes sse41-tier hash calls to the scalar lanes (measured; see
-//     docs/PERFORMANCE.md).
-//   * avx2 implements all three families 4-wide.
+// reference implementation the AVX2 tier is differential-tested against
+// (tests/simd_test.cc).
 #pragma once
 
 #include <cstddef>
@@ -25,11 +17,6 @@
 namespace setint::simd {
 
 namespace scalar {
-
-void reduce_mod_many(const ReduceConstants& c, const std::uint64_t* xs,
-                     std::size_t n, std::uint64_t* out);
-void pairwise_hash_many(const PairwiseConstants& c, const std::uint64_t* xs,
-                        std::size_t n, std::uint64_t* out);
 
 // Two-pointer merge; accepts the operands in either order.
 std::size_t intersect_merge(const std::uint64_t* a, std::size_t na,
@@ -51,27 +38,8 @@ void bitmap_and(const std::uint64_t* a, const std::uint64_t* b,
 
 #if defined(__x86_64__) || defined(_M_X64)
 
-namespace sse41 {
-
-std::size_t intersect_block(const std::uint64_t* a, std::size_t na,
-                            const std::uint64_t* b, std::size_t nb,
-                            std::uint64_t* out);
-std::size_t intersect_block_gallop(const std::uint64_t* small, std::size_t ns,
-                                   const std::uint64_t* large, std::size_t nl,
-                                   std::uint64_t* out);
-std::uint64_t bitmap_and_count(const std::uint64_t* a, const std::uint64_t* b,
-                               std::size_t n);
-void bitmap_and(const std::uint64_t* a, const std::uint64_t* b,
-                std::uint64_t* out, std::size_t n);
-
-}  // namespace sse41
-
 namespace avx2 {
 
-void reduce_mod_many(const ReduceConstants& c, const std::uint64_t* xs,
-                     std::size_t n, std::uint64_t* out);
-void pairwise_hash_many(const PairwiseConstants& c, const std::uint64_t* xs,
-                        std::size_t n, std::uint64_t* out);
 std::size_t intersect_block(const std::uint64_t* a, std::size_t na,
                             const std::uint64_t* b, std::size_t nb,
                             std::uint64_t* out);

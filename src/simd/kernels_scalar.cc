@@ -1,8 +1,5 @@
-// Portable scalar reference kernels. Every vector tier is
-// differential-tested against these; the hash lanes reproduce the exact
-// arithmetic of hashing::Reducer64 / hashing::Montgomery64 from raw
-// constants so that dispatching here is bit-identical to the pre-SIMD
-// code paths.
+// Portable scalar reference kernels. The AVX2 tier is differential-tested
+// against these.
 
 #include <algorithm>
 #include <bit>
@@ -12,50 +9,6 @@
 #include "simd/kernels_internal.h"
 
 namespace setint::simd::scalar {
-
-namespace {
-
-// a % d via the Lemire-Kaser magic number M = ceil(2^128/d), given as two
-// 64-bit halves. Mirrors Reducer64::mod term for term: first M*a mod
-// 2^128, then the 128x64 mulhi with d.
-inline std::uint64_t reduce_one(const ReduceConstants& c, std::uint64_t a) {
-  const unsigned __int128 p0 = static_cast<unsigned __int128>(c.m_lo) * a;
-  const std::uint64_t lo = static_cast<std::uint64_t>(p0);
-  const std::uint64_t hi =
-      static_cast<std::uint64_t>(p0 >> 64) + c.m_hi * a;  // mod 2^64
-  const unsigned __int128 bottom =
-      (static_cast<unsigned __int128>(lo) * c.d) >> 64;
-  return static_cast<std::uint64_t>(
-      (static_cast<unsigned __int128>(hi) * c.d + bottom) >> 64);
-}
-
-// Montgomery REDC, exactly as Montgomery64::redc.
-inline std::uint64_t redc(std::uint64_t m, std::uint64_t neg_inv,
-                          unsigned __int128 x) {
-  const std::uint64_t q = static_cast<std::uint64_t>(x) * neg_inv;
-  const std::uint64_t t = static_cast<std::uint64_t>(
-      (x + static_cast<unsigned __int128>(q) * m) >> 64);
-  return t >= m ? t - m : t;
-}
-
-}  // namespace
-
-void reduce_mod_many(const ReduceConstants& c, const std::uint64_t* xs,
-                     std::size_t n, std::uint64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = reduce_one(c, xs[i]);
-}
-
-void pairwise_hash_many(const PairwiseConstants& c, const std::uint64_t* xs,
-                        std::size_t n, std::uint64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t xr = reduce_one(c.red_p, xs[i]);
-    const std::uint64_t ax =
-        redc(c.p, c.neg_inv, static_cast<unsigned __int128>(c.a_mont) * xr);
-    const std::uint64_t space = c.p - ax;
-    const std::uint64_t v = c.b >= space ? c.b - space : ax + c.b;
-    out[i] = reduce_one(c.red_t, v);
-  }
-}
 
 std::size_t intersect_merge(const std::uint64_t* a, std::size_t na,
                             const std::uint64_t* b, std::size_t nb,

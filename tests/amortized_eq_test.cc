@@ -67,7 +67,9 @@ TEST(AmortizedEq, EqualInstancesNeverReportedUnequal) {
         make_workload(64, [](std::size_t i) { return i % 3 != 0; });
     const auto got = eq::amortized_equality(ch, shared, seed, w.xs, w.ys);
     for (std::size_t i = 0; i < 64; ++i) {
-      if (w.truth[i]) EXPECT_TRUE(got[i]) << "seed " << seed << " i " << i;
+      if (w.truth[i]) {
+        EXPECT_TRUE(got[i]) << "seed " << seed << " i " << i;
+      }
     }
   }
 }

@@ -22,6 +22,17 @@
 namespace setint {
 namespace {
 
+// IntersectOptions built by assignment: a designated initializer that
+// names only some fields leaves the struct-typed members (limits, retry,
+// budget) without initializers and trips -Wmissing-field-initializers.
+IntersectOptions options_for(std::uint64_t universe,
+                             std::uint64_t seed = IntersectOptions{}.seed) {
+  IntersectOptions o;
+  o.universe = universe;
+  o.seed = seed;
+  return o;
+}
+
 // ---------- engine scheduling ----------
 
 TEST(RunSessions, RunsEveryIndexExactlyOnce) {
@@ -118,7 +129,7 @@ Workload make_workload(std::size_t sessions) {
 
 TEST(BatchDeterminism, RunBatchBitIdenticalAcrossThreadCounts) {
   const Workload w = make_workload(32);
-  const IntersectOptions options{.universe = 1u << 22, .seed = 99};
+  const IntersectOptions options = options_for(1u << 22, 99);
 
   const BatchResult serial =
       run_batch(options, w.instances, {.threads = 1, .trace = true});
@@ -148,7 +159,7 @@ TEST(BatchDeterminism, RunBatchBitIdenticalAcrossThreadCounts) {
 
 TEST(RunBatch, ResultsAreCorrectAndSeedReproducible) {
   const Workload w = make_workload(8);
-  const IntersectOptions options{.universe = 1u << 22, .seed = 7};
+  const IntersectOptions options = options_for(1u << 22, 7);
   const BatchResult out = run_batch(options, w.instances, {.threads = 2});
   for (std::size_t i = 0; i < w.pairs.size(); ++i) {
     EXPECT_EQ(out.results[i].intersection, w.pairs[i].expected_intersection)
@@ -167,7 +178,7 @@ TEST(RunBatch, ResultsAreCorrectAndSeedReproducible) {
 
 TEST(RunBatch, MergedMetricsEqualSessionOrderFold) {
   const Workload w = make_workload(6);
-  const IntersectOptions options{.universe = 1u << 22, .seed = 3};
+  const IntersectOptions options = options_for(1u << 22, 3);
   const BatchResult batched =
       run_batch(options, w.instances, {.threads = 8, .trace = true});
 
@@ -187,7 +198,7 @@ TEST(RunBatch, MergedMetricsEqualSessionOrderFold) {
 TEST(RunBatch, RejectsSharedStatefulHooks) {
   const Workload w = make_workload(2);
   obs::Tracer tracer;
-  IntersectOptions options{.universe = 1u << 22};
+  IntersectOptions options = options_for(1u << 22);
   options.tracer = &tracer;
   EXPECT_THROW(run_batch(options, w.instances, {}), std::invalid_argument);
 }

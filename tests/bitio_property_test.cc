@@ -14,7 +14,6 @@
 #include "hashing/fks.h"
 #include "hashing/mask_hash.h"
 #include "hashing/pairwise.h"
-#include "simd/dispatch.h"
 #include "util/bitio.h"
 #include "util/rng.h"
 #include "util/set_util.h"
@@ -358,40 +357,8 @@ TEST(BatchedHash, FksHashManyMatchesScalarLoop) {
     f.hash_many(xs, batched);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(batched[i], f(xs[i])) << "trial " << trial << " i " << i;
+      ASSERT_EQ(batched[i], xs[i] % f.range()) << "x=" << xs[i];
       ASSERT_LT(batched[i], f.range());
-    }
-  }
-}
-
-// The batched==scalar pin, re-checked per SIMD kernel tier: hash_many now
-// dispatches through src/simd/ (4-wide AVX2 lanes when available), and
-// every tier must reproduce the scalar operator() chain bit for bit —
-// this is what keeps seeded draw order and golden transcripts unchanged.
-TEST(BatchedHash, HashManyLanesMatchScalarOnEveryTier) {
-  Rng rng(0x71E2);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::uint64_t universe = 2 + rng.below(std::uint64_t{1} << 40);
-    const std::uint64_t range = 1 + rng.below(1 << 14);
-    const auto h = hashing::PairwiseHash::sample(rng, universe, range);
-    const auto f = hashing::FksCompressor::sample(rng, universe,
-                                                  2 + rng.below(1 << 8));
-    const std::size_t n = static_cast<std::size_t>(rng.below(200));
-    std::vector<std::uint64_t> xs(n);
-    for (auto& x : xs) {
-      x = rng.below(8) == 0 ? rng.next() : rng.below(universe);
-    }
-    std::vector<std::uint64_t> pairwise_batch(n), fks_batch(n);
-    for (simd::Tier tier :
-         {simd::Tier::kScalar, simd::Tier::kSse41, simd::Tier::kAvx2}) {
-      simd::ScopedTierOverride forced(tier);
-      h.hash_many(xs, pairwise_batch);
-      f.hash_many(xs, fks_batch);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(pairwise_batch[i], h(xs[i]))
-            << "tier " << simd::tier_name(tier) << " trial " << trial;
-        ASSERT_EQ(fks_batch[i], f(xs[i]))
-            << "tier " << simd::tier_name(tier) << " trial " << trial;
-      }
     }
   }
 }

@@ -19,12 +19,24 @@
 namespace setint {
 namespace {
 
+// IntersectOptions built by assignment: a designated initializer that
+// names only some fields leaves the struct-typed members (limits, retry,
+// budget) without initializers and trips -Wmissing-field-initializers.
+IntersectOptions options_for(std::uint64_t universe, int rounds_r = 0,
+                             std::uint64_t seed = IntersectOptions{}.seed) {
+  IntersectOptions o;
+  o.universe = universe;
+  o.rounds_r = rounds_r;
+  o.seed = seed;
+  return o;
+}
+
 // ---------- facade ----------
 
 TEST(Facade, BasicUsage) {
   util::Rng wrng(1);
   const util::SetPair p = util::random_set_pair(wrng, 1u << 24, 500, 123);
-  const IntersectResult r = intersect(p.s, p.t, {.universe = 1u << 24});
+  const IntersectResult r = intersect(p.s, p.t, options_for(1u << 24));
   EXPECT_EQ(r.intersection, p.expected_intersection);
   EXPECT_TRUE(r.verified);
   EXPECT_GT(r.bits, 0u);
@@ -83,9 +95,9 @@ TEST(Facade, RoundsParameterControlsTradeoff) {
   util::Rng wrng(2);
   const util::SetPair p = util::random_set_pair(wrng, 1u << 26, 4096, 2048);
   const IntersectResult r1 =
-      intersect(p.s, p.t, {.universe = 1u << 26, .rounds_r = 1});
+      intersect(p.s, p.t, options_for(1u << 26, /*rounds_r=*/1));
   const IntersectResult r3 =
-      intersect(p.s, p.t, {.universe = 1u << 26, .rounds_r = 3});
+      intersect(p.s, p.t, options_for(1u << 26, /*rounds_r=*/3));
   EXPECT_EQ(r1.intersection, p.expected_intersection);
   EXPECT_EQ(r3.intersection, p.expected_intersection);
   EXPECT_LT(r3.bits, r1.bits);     // more rounds, fewer bits
@@ -101,9 +113,9 @@ TEST(Facade, DeterministicForSeed) {
   util::Rng wrng(3);
   const util::SetPair p = util::random_set_pair(wrng, 1u << 20, 128, 64);
   const IntersectResult a =
-      intersect(p.s, p.t, {.universe = 1u << 20, .seed = 42});
+      intersect(p.s, p.t, options_for(1u << 20, 0, /*seed=*/42));
   const IntersectResult b =
-      intersect(p.s, p.t, {.universe = 1u << 20, .seed = 42});
+      intersect(p.s, p.t, options_for(1u << 20, 0, /*seed=*/42));
   EXPECT_EQ(a.bits, b.bits);
   EXPECT_EQ(a.rounds, b.rounds);
 }

@@ -383,13 +383,25 @@ TEST(PairwiseHash, EngineMatchesPlainFormula) {
     const std::uint64_t universe = 2 + rng.below(std::uint64_t{1} << 40);
     const std::uint64_t range = 2 + rng.below(1u << 20);
     const auto h = hashing::PairwiseHash::sample(rng, universe, range);
-    for (int i = 0; i < 200; ++i) {
-      const std::uint64_t x = rng.below(universe);
-      const std::uint64_t p = h.prime();
+    const std::uint64_t p = h.prime();
+    // In-universe draws, then out-of-universe ones around the modulus and
+    // the top of the 64-bit range (the engine reduces mod p first).
+    std::vector<std::uint64_t> xs;
+    for (int i = 0; i < 200; ++i) xs.push_back(rng.below(universe));
+    for (int i = 0; i < 20; ++i) xs.push_back(rng.next());
+    for (const std::uint64_t x :
+         {p - 1, p, p + 1, 2 * p, ~std::uint64_t{0}, ~std::uint64_t{0} - 1}) {
+      xs.push_back(x);
+    }
+    std::vector<std::uint64_t> batched(xs.size());
+    h.hash_many(xs, batched);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const std::uint64_t x = xs[i];
       const std::uint64_t expected =
           (hashing::mulmod(h.multiplier(), x % p, p) + h.offset()) % p %
           h.range();
       ASSERT_EQ(h(x), expected) << "x=" << x << " p=" << p;
+      ASSERT_EQ(batched[i], expected) << "x=" << x << " p=" << p;
     }
   }
 }

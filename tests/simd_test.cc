@@ -1,12 +1,12 @@
 // Differential suite for the SIMD local-compute engine (ctest -L simd).
 //
-// Every kernel tier is driven via forced dispatch against the portable
+// Both kernel tiers are driven via forced dispatch against the portable
 // scalar reference on randomized inputs plus the adversarial shapes the
 // kernels special-case: empty sets, one-element sets, full overlap,
 // disjoint ranges, ragged tails, and sizes straddling every crossover of
 // the intersection heuristic. The ci.sh simd lane runs this suite twice —
 // natively and under SETINT_FORCE_SCALAR=1 — and the forced entry points
-// deliberately reach the real vector tiers in both modes (they clamp to
+// deliberately reach the real AVX2 tier in both modes (they clamp to
 // hardware capability, not to the environment override), so the
 // differential coverage is identical either way; what the scalar re-run
 // checks is that the *dispatched* paths degrade correctly.
@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "core/bucket_eq.h"
-#include "hashing/fks.h"
-#include "hashing/pairwise.h"
 #include "sim/channel.h"
 #include "sim/randomness.h"
 #include "simd/dispatch.h"
@@ -35,7 +33,7 @@ using simd::IntersectAlgo;
 using simd::Tier;
 
 std::vector<Tier> all_tiers() {
-  return {Tier::kScalar, Tier::kSse41, Tier::kAvx2};
+  return {Tier::kScalar, Tier::kAvx2};
 }
 
 // Strictly increasing set of the given size with geometric-ish gaps.
@@ -56,13 +54,9 @@ std::vector<std::uint64_t> make_canonical(util::Rng& rng, std::size_t n,
 TEST(SimdDispatch, TierLadderIsConsistent) {
   const simd::CpuFeatures& f = simd::detected_features();
   const Tier hw = simd::detected_tier();
-  // The ladder is monotone: avx2 implies the sse41 prerequisites.
+  // The AVX2 tier needs both of its cpuid bits.
   if (hw == Tier::kAvx2) {
     EXPECT_TRUE(f.avx2);
-    EXPECT_TRUE(f.popcnt);
-  }
-  if (hw >= Tier::kSse41) {
-    EXPECT_TRUE(f.sse4_1);
     EXPECT_TRUE(f.popcnt);
   }
   // active_tier never exceeds the hardware.
@@ -76,7 +70,7 @@ TEST(SimdDispatch, ForcedScalarEnvironmentWins) {
   if (forced != nullptr && forced[0] != '\0' &&
       !(forced[0] == '0' && forced[1] == '\0')) {
     EXPECT_EQ(simd::active_tier(), Tier::kScalar);
-  } else if (std::getenv("SETINT_FORCE_TIER") == nullptr) {
+  } else {
     EXPECT_EQ(simd::active_tier(), simd::detected_tier());
   }
 }
@@ -101,7 +95,6 @@ TEST(SimdDispatch, TierNamesAreStable) {
   // bench_util.h writes these into BENCH environment blocks and
   // bench_compare keys on them: renaming is a schema change.
   EXPECT_STREQ(simd::tier_name(Tier::kScalar), "scalar");
-  EXPECT_STREQ(simd::tier_name(Tier::kSse41), "sse41");
   EXPECT_STREQ(simd::tier_name(Tier::kAvx2), "avx2");
 }
 
@@ -113,8 +106,9 @@ TEST(SimdPlan, CrossoversMatchDocumentedTable) {
   const std::size_t bg = simd::kBlockGallopRatio;  // 1000
   const std::size_t bm = simd::kBlockMinSmall;     // 16
 
-  // Vector tiers.
-  for (Tier tier : {Tier::kSse41, Tier::kAvx2}) {
+  // AVX2 tier.
+  {
+    const Tier tier = Tier::kAvx2;
     EXPECT_EQ(simd::plan_intersect(0, 100, tier), IntersectAlgo::kScalarMerge);
     EXPECT_EQ(simd::plan_intersect(4, 4 * (bg - 1), tier),
               IntersectAlgo::kGallop);
@@ -248,81 +242,6 @@ TEST(SimdIntersect, RejectsUnderSizedOutput) {
   EXPECT_THROW(simd::intersect_sorted(a, b, out), std::invalid_argument);
   out.resize(10);
   EXPECT_EQ(simd::intersect_sorted(a, b, out), 2u);
-}
-
-// ---------- hash lanes: forced-scalar vs dispatched tier ----------
-
-TEST(SimdHashLanes, ReduceModManyMatchesPlainRemainder) {
-  util::Rng rng(0xBA22);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::uint64_t d = 1 + rng.below(std::uint64_t{1} << (1 + rng.below(63)));
-    const hashing::Reducer64 red(d);
-    const simd::ReduceConstants c{red.magic_hi(), red.magic_lo(),
-                                  red.divisor()};
-    const std::size_t n = rng.below(133);
-    std::vector<std::uint64_t> xs(n);
-    for (auto& x : xs) x = rng.next();
-    std::vector<std::uint64_t> dispatched(n), forced(n);
-    simd::reduce_mod_many(c, xs, dispatched);
-    {
-      simd::ScopedTierOverride scalar_only(Tier::kScalar);
-      simd::reduce_mod_many(c, xs, forced);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(dispatched[i], xs[i] % d) << "d=" << d << " x=" << xs[i];
-      ASSERT_EQ(dispatched[i], forced[i]);
-    }
-  }
-}
-
-TEST(SimdHashLanes, PairwiseHashManyIdenticalAcrossTiers) {
-  util::Rng rng(0x4A5E);
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::uint64_t universe = 2 + rng.below(std::uint64_t{1} << 40);
-    const std::uint64_t range = 1 + rng.below(1 << 16);
-    const auto h = hashing::PairwiseHash::sample(rng, universe, range);
-    const std::size_t n = rng.below(150);
-    std::vector<std::uint64_t> xs(n);
-    for (auto& x : xs) {
-      x = rng.below(8) == 0 ? rng.next() : rng.below(universe);
-    }
-    std::vector<std::uint64_t> reference(n);
-    {
-      simd::ScopedTierOverride scalar_only(Tier::kScalar);
-      h.hash_many(xs, reference);
-    }
-    for (Tier tier : all_tiers()) {
-      simd::ScopedTierOverride forced(tier);
-      std::vector<std::uint64_t> got(n);
-      h.hash_many(xs, got);
-      ASSERT_EQ(got, reference) << "tier=" << simd::tier_name(tier);
-    }
-    // And the scalar reference is the element-by-element operator().
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(reference[i], h(xs[i]));
-  }
-}
-
-TEST(SimdHashLanes, FksHashManyIdenticalAcrossTiers) {
-  util::Rng rng(0xF4A5);
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::uint64_t universe = 2 + rng.below(std::uint64_t{1} << 44);
-    const std::uint64_t max_elements = 2 + rng.below(1 << 10);
-    const auto f = hashing::FksCompressor::sample(rng, universe, max_elements);
-    const std::size_t n = rng.below(140);
-    std::vector<std::uint64_t> xs(n);
-    for (auto& x : xs) x = rng.next();
-    std::vector<std::uint64_t> reference(n);
-    {
-      simd::ScopedTierOverride scalar_only(Tier::kScalar);
-      f.hash_many(xs, reference);
-    }
-    for (Tier tier : all_tiers()) {
-      simd::ScopedTierOverride forced(tier);
-      std::vector<std::uint64_t> got(n);
-      f.hash_many(xs, got);
-      ASSERT_EQ(got, reference) << "tier=" << simd::tier_name(tier);
-    }
-  }
 }
 
 // ---------- bitmap kernels ----------

@@ -291,7 +291,9 @@ TEST(LogStar, MatchesIteratedLogDefinition) {
   for (double k : {2.0, 5.0, 100.0, 4096.0, 1e9, 1e18}) {
     const int r = util::log_star(k);
     EXPECT_LE(util::iterated_log(r, k), 1.0 + 1e-12) << k;
-    if (r > 0) EXPECT_GT(util::iterated_log(r - 1, k), 1.0) << k;
+    if (r > 0) {
+      EXPECT_GT(util::iterated_log(r - 1, k), 1.0) << k;
+    }
   }
 }
 
@@ -479,7 +481,9 @@ TEST(RandomMultiSets, PlantsExactIntersection) {
       inter = util::set_intersection(inter, inst.sets[p]);
     }
     EXPECT_EQ(inter, inst.expected_intersection);
-    if (players > 1) EXPECT_EQ(inst.expected_intersection.size(), 16u);
+    if (players > 1) {
+      EXPECT_EQ(inst.expected_intersection.size(), 16u);
+    }
     for (const util::Set& s : inst.sets) {
       EXPECT_EQ(s.size(), 64u);
       EXPECT_TRUE(util::is_canonical_set(s));
@@ -617,7 +621,9 @@ TEST(FlatBuckets, HandlesEmptyInputAndEmptyBuckets) {
   EXPECT_EQ(one.bucket(3)[0], 0u);
   EXPECT_EQ(one.bucket(3)[4], 4u);
   for (std::size_t b = 0; b < 8; ++b) {
-    if (b != 3) EXPECT_EQ(one.bucket_size(b), 0u);
+    if (b != 3) {
+      EXPECT_EQ(one.bucket_size(b), 0u);
+    }
   }
 }
 

@@ -35,13 +35,16 @@
 #      bench_compare self-diff + injected-regression check
 #   9. the bench determinism contract (same seed => identical JSON modulo
 #      wall_ms)
+#   9b. the repository benchmark's self-tests (python3
+#      perfbench/test_perfbench.py, ~4 min): its output check, same-seed
+#      count determinism and the metric/unit contract of BENCHMARK.json
 #  10. the ThreadSanitizer lane: the concurrency + statistical slices
 #      rebuilt under TSan (build-tsan/) — the batch engine's data-race
 #      gate — plus exp_service --threads=2/8 (the sharded event loop's
 #      thread-invariance gate under TSan)
 #
 # Usage: tools/ci.sh [--fast]
-#   --fast  skip steps 5-9 (inner-loop edit/test cycles)
+#   --fast  skip steps 5-10 (inner-loop edit/test cycles)
 #
 # The ASan/UBSan gate is a separate entry point (it needs its own build
 # tree): tools/run_sanitized_tests.sh.
@@ -135,7 +138,8 @@ DUMP="$("$BUILD_DIR/tools/replay" --record="$REPLAY_DIR/incident" \
 
 if [[ -n "$FAST" ]]; then
   echo
-  echo "[ci] --fast: skipping extended fuzz, bench smoke, determinism, TSan"
+  echo "[ci] --fast: skipping extended fuzz, bench smoke, determinism,"
+  echo "[ci]   perfbench self-tests, TSan"
   echo "[ci] OK"
   exit 0
 fi
@@ -206,6 +210,14 @@ step "bench determinism contract"
 tools/check_bench_determinism.sh build/bench/exp_rounds \
     build/bench/exp_faults build/bench/exp_adversary build/bench/exp_batch \
     build/bench/exp_chaos build/bench/exp_overload build/bench/exp_service
+
+step "repository benchmark self-tests (perfbench/test_perfbench.py)"
+# Builds perfbench/ from the library sources (Release, under
+# $CARGO_TARGET_DIR, default .bench_build/) and checks that it still
+# verifies every output, repeats its counts per seed and prints every
+# metric BENCHMARK.json names — a library change that breaks the
+# benchmark fails here, not when the benchmark is next run.
+python3 "$REPO_ROOT/perfbench/test_perfbench.py"
 
 step "TSan lane: concurrency + statistical slices under ThreadSanitizer"
 cmake --preset sanitize-thread > /dev/null
