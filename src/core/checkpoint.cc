@@ -23,7 +23,6 @@ void Checkpoint::save(std::string_view tag, std::uint64_t phase,
   // this boundary surfaces as BudgetExhaustedError in the stepped path
   // exactly as it would blocking, and budget.checks counts stay equal.
   if (park_at_boundaries_) {
-    park_pending_ = true;
     throw CheckpointPark("checkpoint: parked at " + tag_ + " phase " +
                          std::to_string(phase_));
   }

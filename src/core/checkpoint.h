@@ -78,23 +78,11 @@ class Checkpoint {
   void clear();
 
   // Protocols call this when they actually resume from the stored
-  // snapshot, so the recovery layer can report checkpoint.restores. A
-  // re-entry that resumes a deliberately PARKED boundary (CheckpointPark)
-  // is engine bookkeeping, not crash recovery: it lands in park_resumes()
-  // instead, keeping checkpoint.restores bit-identical between the
-  // blocking path and the stepped sans-IO path.
-  void note_restore() {
-    if (park_pending_) {
-      park_pending_ = false;
-      park_resumes_ += 1;
-    } else {
-      restores_ += 1;
-    }
-  }
+  // snapshot, so the recovery layer can report checkpoint.restores.
+  void note_restore() { restores_ += 1; }
 
   std::uint64_t snapshots() const { return snapshots_; }
   std::uint64_t restores() const { return restores_; }
-  std::uint64_t park_resumes() const { return park_resumes_; }
 
   // Test knob: the next save() with this tag and phase >= `phase` stores
   // the snapshot, disarms the knob, and throws CheckpointInterrupt —
@@ -124,9 +112,7 @@ class Checkpoint {
   std::uint64_t bits_at_boundary_ = 0;
   std::uint64_t snapshots_ = 0;
   std::uint64_t restores_ = 0;
-  std::uint64_t park_resumes_ = 0;
   bool park_at_boundaries_ = false;
-  bool park_pending_ = false;
   std::string interrupt_tag_;
   std::uint64_t interrupt_phase_ = 0;
   bool interrupt_armed_ = false;

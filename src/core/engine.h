@@ -186,9 +186,7 @@ class ProtocolMachine {
 
 // Machine over one bare core protocol: owns the channel and the parking
 // checkpoint, and steps by re-entering the blocking protocol function
-// with park-at-boundaries armed. The multiparty certified session has
-// its own driver-based machine (multiparty/session_machine.h) because
-// its retry/degradation ladder lives ABOVE the checkpointed protocol.
+// with park-at-boundaries armed.
 class CheckpointedMachine : public ProtocolMachine {
  public:
   sim::Channel& channel() override { return channel_; }

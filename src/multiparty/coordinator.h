@@ -17,7 +17,6 @@
 
 #include "core/breaker.h"
 #include "core/budget.h"
-#include "core/checkpoint.h"
 #include "core/resource_limits.h"
 #include "core/retry.h"
 #include "core/verification_tree.h"
@@ -122,108 +121,13 @@ struct SessionHooks {
   core::CircuitBreaker* breaker = nullptr;
 };
 
+// Throws std::invalid_argument when s or t is not strictly increasing
+// inside [universe), checked once before any attempt.
 VerifiedRunResult verified_two_party_intersection(
     const sim::SharedRandomness& shared, std::uint64_t nonce,
     std::uint64_t universe, util::SetView s, util::SetView t,
     const core::VerificationTreeParams& params, std::size_t k_bound,
     const core::RetryPolicy& retry = {}, const SessionHooks& hooks = {});
-
-// The certified session — attempt loop, 2k-bit certificate, backstop,
-// degradation ladder — as an explicitly re-enterable driver. It exists in
-// two modes sharing ONE code path:
-//
-//   * blocking (resumable = false): run() executes the session start to
-//     finish, byte-identical to the historical function above (which is
-//     now a thin wrapper over this class);
-//   * resumable (resumable = true): step() arms the checkpoint's
-//     park-at-boundaries knob and advances the session exactly one phase
-//     boundary of the underlying verification-tree protocol per call —
-//     the seam multiparty/session_machine.h turns into a sans-IO
-//     ProtocolMachine.
-//
-// A park-resume re-entry skips the between-attempt backoff/budget check
-// (which the blocking path runs once per attempt, not per boundary) and
-// lands in Checkpoint::park_resumes() rather than checkpoint.restores,
-// so every checkpoint.*/budget.* metric and the final VerifiedRunResult
-// match the blocking path exactly — pinned by tests/sansio_test.cc.
-//
-// Lifetime: `shared`, the SetView inputs and every SessionHooks pointer
-// must outlive the driver. In resumable mode the driver forces a
-// checkpoint store even without chaos/budget (parking needs a seam), but
-// only emits checkpoint.* metrics when the blocking path would.
-class VerifiedSessionDriver {
- public:
-  VerifiedSessionDriver(const sim::SharedRandomness& shared,
-                        std::uint64_t nonce, std::uint64_t universe,
-                        util::SetView s, util::SetView t,
-                        const core::VerificationTreeParams& params,
-                        std::size_t k_bound, const core::RetryPolicy& retry,
-                        const SessionHooks& hooks, bool resumable);
-
-  // Blocking mode: the whole session in one call.
-  VerifiedRunResult run();
-
-  // Resumable mode: advances to the next phase boundary; returns true
-  // once the session has finished and result() is final. With
-  // hooks.checkpoint = false there is no parking seam and the first step
-  // runs the session to completion.
-  bool step();
-
-  bool finished() const { return done_; }
-  const VerifiedRunResult& result() const { return result_; }
-  sim::Channel& channel() { return channel_; }
-  core::Checkpoint* checkpoint() { return ckpt_; }
-
- private:
-  // Returns true when the session finished inside the attempt loop (a
-  // certified answer); false when control falls through to the ladder.
-  bool run_attempt_loop();
-  void run_ladder();
-  void run_session();
-  void finish();
-  bool wait_out_block(std::uint64_t resume_tick, const char* what);
-
-  const sim::SharedRandomness& shared_;
-  const std::uint64_t nonce_;
-  const std::uint64_t universe_;
-  const util::SetView s_;
-  const util::SetView t_;
-  const core::VerificationTreeParams params_;
-  const std::size_t k_bound_;
-  const core::RetryPolicy retry_;
-  const SessionHooks hooks_;
-  const bool resumable_;
-
-  obs::Tracer* tracer_;
-  sim::FaultPlan* faults_;
-  sim::Adversary* adversary_;
-  obs::FlightRecorder* recorder_;
-  sim::ChaosPlan* chaos_;
-  sim::Channel channel_;
-  obs::Span span_;
-  core::SessionBudget budget_;
-  bool budget_enabled_;
-  core::RetryBudgetPool* pool_;
-  core::CircuitBreaker* breaker_;
-  core::Checkpoint ckpt_store_;
-  core::Checkpoint* ckpt_;
-  bool emit_ckpt_metrics_;
-
-  std::uint64_t max_attempts_;
-  VerifiedRunResult result_;
-  std::uint64_t restarts_used_ = 0;
-  std::uint64_t attempt_start_bits_ = 0;
-  bool breaker_denied_ = false;
-
-  // Resume cursor: which part of the session the next (re-)entry lands in.
-  std::uint64_t rep_ = 0;     // current attempt index
-  bool in_attempt_ = false;   // attempt initialized, inner loop live
-  bool attempt_live_ = false;
-  bool backoff_due_ = false;
-  bool skip_pre_ = false;     // park-resume: skip backoff + budget precheck
-  bool post_loop_ = false;    // attempt loop exhausted; ladder next
-  bool done_ = false;
-};
 
 struct MultipartyParams {
   core::VerificationTreeParams tree;  // two-party sub-protocol parameters

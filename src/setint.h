@@ -185,11 +185,12 @@ struct BatchResult {
 };
 
 // Runs intersect() on every instance. The per-run stateful hooks of
-// IntersectOptions (tracer, fault_plan, adversary) are single-session
-// objects and must be null — sharing one across concurrent sessions
-// would break both thread safety and determinism, so run_batch throws
-// std::invalid_argument instead (see docs/OBSERVABILITY.md § thread
-// affinity). Use BatchOptions::trace for per-session tracing.
+// IntersectOptions (tracer, recorder, fault_plan, adversary, chaos_plan)
+// are single-session objects and must be null — sharing one across
+// concurrent sessions would break both thread safety and determinism, so
+// run_batch throws std::invalid_argument instead (see
+// docs/OBSERVABILITY.md § thread affinity). Use BatchOptions::trace for
+// per-session tracing.
 BatchResult run_batch(const IntersectOptions& options,
                       std::span<const Instance> instances,
                       const BatchOptions& batch = {});

@@ -11,10 +11,14 @@
 #include <vector>
 
 #include "core/verification_tree.h"
+#include "obs/recorder.h"
 #include "obs/tracer.h"
 #include "runtime/batch.h"
 #include "setint.h"
+#include "sim/adversary.h"
 #include "sim/channel.h"
+#include "sim/chaos.h"
+#include "sim/fault.h"
 #include "sim/randomness.h"
 #include "util/rng.h"
 #include "util/set_util.h"
@@ -198,9 +202,20 @@ TEST(RunBatch, MergedMetricsEqualSessionOrderFold) {
 TEST(RunBatch, RejectsSharedStatefulHooks) {
   const Workload w = make_workload(2);
   obs::Tracer tracer;
-  IntersectOptions options = options_for(1u << 22);
-  options.tracer = &tracer;
-  EXPECT_THROW(run_batch(options, w.instances, {}), std::invalid_argument);
+  obs::FlightRecorder recorder;
+  sim::FaultPlan faults(sim::FaultSpec{});
+  sim::Adversary adversary;
+  sim::ChaosPlan chaos(sim::ChaosSpec{});
+  const auto expect_rejected = [&](auto install) {
+    IntersectOptions options = options_for(1u << 22);
+    install(options);
+    EXPECT_THROW(run_batch(options, w.instances, {}), std::invalid_argument);
+  };
+  expect_rejected([&](IntersectOptions& o) { o.tracer = &tracer; });
+  expect_rejected([&](IntersectOptions& o) { o.recorder = &recorder; });
+  expect_rejected([&](IntersectOptions& o) { o.fault_plan = &faults; });
+  expect_rejected([&](IntersectOptions& o) { o.adversary = &adversary; });
+  expect_rejected([&](IntersectOptions& o) { o.chaos_plan = &chaos; });
 }
 
 TEST(RunBatch, EmptyBatch) {

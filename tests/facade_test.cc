@@ -12,7 +12,10 @@
 #include "core/private_coin.h"
 #include "core/toy_protocol.h"
 #include "core/verification_tree.h"
+#include "obs/tracer.h"
 #include "setint.h"
+#include "sim/chaos.h"
+#include "sim/fault.h"
 #include "util/rng.h"
 #include "util/set_util.h"
 
@@ -107,6 +110,36 @@ TEST(Facade, RoundsParameterControlsTradeoff) {
 TEST(Facade, RejectsNonCanonicalInput) {
   EXPECT_THROW(intersect(util::Set{3, 1}, util::Set{}),
                std::invalid_argument);
+  // Non-empty invalid pairs must throw on every link, before any attempt:
+  // validated inside the attempt loop they would burn the retry budget on
+  // a clean link and come back "degraded" (S itself, unsorted or outside
+  // the universe) on a hostile one.
+  const util::Set unsorted{5, 3, 9, 12};
+  const util::Set outside{3, 5000};
+  const util::Set t{3, 4, 9, 20};
+  for (const util::Set* s : {&unsorted, &outside}) {
+    EXPECT_THROW(intersect(*s, t, options_for(1024)), std::invalid_argument);
+    sim::FaultSpec flips;
+    flips.flip_per_bit = 1e-4;
+    sim::FaultPlan faults(flips);
+    IntersectOptions faulty = options_for(1024);
+    faulty.fault_plan = &faults;
+    EXPECT_THROW(intersect(*s, t, faulty), std::invalid_argument);
+    sim::ChaosSpec crashes;
+    crashes.crash.crash_prob = 0.01;
+    sim::ChaosPlan chaos(crashes);
+    IntersectOptions chaotic = options_for(1024);
+    chaotic.chaos_plan = &chaos;
+    EXPECT_THROW(intersect(*s, t, chaotic), std::invalid_argument);
+  }
+  obs::Tracer tracer;
+  IntersectOptions traced = options_for(1024);
+  traced.tracer = &tracer;
+  EXPECT_THROW(intersect(unsorted, t, traced), std::invalid_argument);
+  for (const auto& [name, counter] : tracer.metrics().counters()) {
+    EXPECT_NE(name.rfind("retry.", 0), 0u) << name;
+    EXPECT_NE(name, "mp.backstops");
+  }
 }
 
 TEST(Facade, DeterministicForSeed) {

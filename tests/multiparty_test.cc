@@ -6,7 +6,11 @@
 #include <cstdint>
 
 #include "multiparty/coordinator.h"
+#include "multiparty/pair_session.h"
 #include "multiparty/tournament.h"
+#include "sim/adversary.h"
+#include "sim/chaos.h"
+#include "sim/fault.h"
 #include "sim/network.h"
 #include "sim/randomness.h"
 #include "util/rng.h"
@@ -263,6 +267,33 @@ TEST(MultipartyFuzz, RandomTopologiesBothProtocols) {
     ASSERT_EQ(tour.intersection, inst.expected_intersection)
         << "tournament m=" << m << " k=" << k;
   }
+}
+
+TEST(PairSessions, ContentEventsCountsEveryHostileSource) {
+  // The certified session's degraded rung and the tournament's
+  // uncertified matches trust a cleanly decoded exchange only if this
+  // total did not move, so chaos corruption must count like fault-plan
+  // flips and crafted frames.
+  sim::FaultSpec flips;
+  flips.flip_per_bit = 1.0;
+  sim::FaultPlan faults(flips);
+  sim::AdversarySpec garbage;
+  garbage.attack = sim::AttackClass::kRandomGarbage;
+  garbage.frame_bits = 64;
+  sim::Adversary adversary(garbage);
+  sim::ChaosSpec burst;
+  burst.burst.flip_good = 1.0;
+  sim::ChaosPlan chaos(burst);
+  EXPECT_EQ(multiparty::content_events(&faults, &adversary, &chaos), 0u);
+  util::BitBuffer payload;
+  payload.append_bits(0xA5, 8);
+  faults.apply(payload);
+  adversary.craft(payload);
+  chaos.corrupt(0, 1, payload);
+  EXPECT_EQ(multiparty::content_events(&faults, nullptr, nullptr), 8u);
+  EXPECT_EQ(multiparty::content_events(nullptr, &adversary, nullptr), 1u);
+  EXPECT_EQ(multiparty::content_events(nullptr, nullptr, &chaos), 1u);
+  EXPECT_EQ(multiparty::content_events(&faults, &adversary, &chaos), 10u);
 }
 
 TEST(Tournament, OddPlayerCountsCarryByes) {

@@ -1,6 +1,5 @@
-// Differential harness for the sans-IO engine (core/engine.h), the
-// event-loop scheduler (runtime/scheduler.h) and the resumable certified
-// session (multiparty/session_machine.h).
+// Differential harness for the sans-IO engine (core/engine.h) and the
+// event-loop scheduler (runtime/scheduler.h).
 //
 // The load-bearing invariant everywhere below: a protocol machine driven
 // through ANY delivery schedule — sequential acks, byte-at-a-time
@@ -16,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -27,13 +25,8 @@
 #include "core/engine.h"
 #include "core/verification_tree.h"
 #include "eq/amortized_eq.h"
-#include "multiparty/coordinator.h"
-#include "multiparty/session_machine.h"
-#include "obs/tracer.h"
 #include "runtime/scheduler.h"
-#include "sim/chaos.h"
 #include "sim/channel.h"
-#include "sim/fault.h"
 #include "sim/randomness.h"
 #include "util/rng.h"
 #include "util/set_util.h"
@@ -426,249 +419,6 @@ TEST(SansioDifferential, ServiceRunThreadInvariance) {
                                                make_cfg(0x9137, g));
     EXPECT_EQ(one.record(g).digest, ref.digest) << g;
     EXPECT_EQ(four.record(g).digest, ref.digest) << g;
-  }
-}
-
-// ---------- the resumable certified session (interop satellites) ----------
-
-using multiparty::SessionHooks;
-using multiparty::SessionMachineConfig;
-using multiparty::VerifiedRunResult;
-using multiparty::VerifiedSessionMachine;
-
-std::map<std::string, std::uint64_t> counter_snapshot(const obs::Tracer& tr) {
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& [name, counter] : tr.metrics().counters()) {
-    if (name.rfind("engine.", 0) == 0) continue;  // engine-only family
-    out[name] = counter.value();
-  }
-  return out;
-}
-
-void expect_results_match(const VerifiedRunResult& a,
-                          const VerifiedRunResult& b) {
-  EXPECT_EQ(a.intersection, b.intersection);
-  EXPECT_EQ(a.repetitions, b.repetitions);
-  EXPECT_EQ(a.verified, b.verified);
-  EXPECT_EQ(a.degraded, b.degraded);
-  EXPECT_EQ(a.refused, b.refused);
-  EXPECT_EQ(a.peer_lost, b.peer_lost);
-  EXPECT_EQ(a.rung, b.rung);
-  EXPECT_EQ(a.budget_reason, b.budget_reason);
-  EXPECT_EQ(a.restarts, b.restarts);
-  EXPECT_EQ(a.bits_replayed, b.bits_replayed);
-  EXPECT_EQ(a.cost.bits_total, b.cost.bits_total);
-  EXPECT_EQ(a.cost.rounds, b.cost.rounds);
-  EXPECT_EQ(a.cost.messages, b.cost.messages);
-  EXPECT_EQ(multiparty::fingerprint_verified_result(a),
-            multiparty::fingerprint_verified_result(b));
-}
-
-struct SessionInputs {
-  std::uint64_t seed, nonce, universe;
-  util::Set s, t;
-  core::RetryPolicy retry;
-};
-
-SessionInputs certified_inputs(std::uint64_t seed) {
-  SessionInputs in;
-  in.seed = seed;
-  in.nonce = util::mix64(seed, 0xCE55);
-  in.universe = std::uint64_t{1} << 12;
-  util::Rng rng(util::mix64(seed, 0x1235));
-  const auto pair = util::random_set_pair(rng, in.universe, 16, 6);
-  in.s = pair.s;
-  in.t = pair.t;
-  return in;
-}
-
-// Runs the blocking path and the engine-driven machine under two
-// identically-seeded copies of the hook environment; `rig` installs the
-// environment into the hooks for one run (called once per mode).
-template <typename Rig>
-void differential_certified_session(std::uint64_t seed, Rig rig,
-                                    VerifiedRunResult* blocking_out = nullptr,
-                                    VerifiedRunResult* machine_out = nullptr) {
-  const SessionInputs in = certified_inputs(seed);
-
-  obs::Tracer tr_blocking;
-  SessionHooks hooks_blocking;
-  hooks_blocking.tracer = &tr_blocking;
-  auto env_blocking = rig(hooks_blocking);
-  (void)env_blocking;
-  const sim::SharedRandomness shared(in.seed);
-  const VerifiedRunResult blocking = multiparty::verified_two_party_intersection(
-      shared, in.nonce, in.universe, in.s, in.t, {}, 0, in.retry,
-      hooks_blocking);
-
-  obs::Tracer tr_machine;
-  SessionMachineConfig cfg;
-  cfg.seed = in.seed;
-  cfg.nonce = in.nonce;
-  cfg.universe = in.universe;
-  cfg.s = in.s;
-  cfg.t = in.t;
-  cfg.retry = in.retry;
-  cfg.hooks.tracer = &tr_machine;
-  auto env_machine = rig(cfg.hooks);
-  (void)env_machine;
-  VerifiedSessionMachine machine(std::move(cfg));
-  drive_sequential(machine);
-  ASSERT_EQ(machine.status(), core::MachineStatus::kDone);
-
-  expect_results_match(blocking, machine.result());
-  // Every counter family the session emits — retry.*, checkpoint.*,
-  // budget.*, chaos.*, fault.*, degraded.*, mp.* — must match exactly
-  // (engine.* excluded: park resumes exist only in resumable mode).
-  EXPECT_EQ(counter_snapshot(tr_blocking), counter_snapshot(tr_machine));
-  if (blocking_out != nullptr) *blocking_out = blocking;
-  if (machine_out != nullptr) *machine_out = machine.result();
-}
-
-TEST(SansioCertified, CleanSessionMatchesBlocking) {
-  VerifiedRunResult blocking;
-  differential_certified_session(
-      0xC1EA,
-      [](SessionHooks&) { return 0; },
-      &blocking);
-  EXPECT_TRUE(blocking.verified);
-  EXPECT_EQ(blocking.rung, core::DegradeRung::kExact);
-}
-
-TEST(SansioCertified, FaultPlanInteropMatchesBlocking) {
-  // Unreliable transport: flips + drops force retries; the machine's
-  // park/resume stepping must leave the retry ladder's behavior — and
-  // every fault.*/retry.* counter — untouched.
-  sim::FaultSpec spec;
-  spec.flip_per_bit = 5e-4;
-  spec.drop_prob = 0.03;
-  spec.seed = 0xFA17;
-  std::vector<std::unique_ptr<sim::FaultPlan>> plans;
-  VerifiedRunResult blocking;
-  differential_certified_session(
-      0xFA07,
-      [&](SessionHooks& hooks) {
-        plans.push_back(std::make_unique<sim::FaultPlan>(spec));
-        hooks.faults = plans.back().get();
-        return 0;
-      },
-      &blocking);
-  // The fault stream must actually have bitten (else the test is vacuous).
-  EXPECT_GT(plans.front()->stats().bits_flipped +
-                plans.front()->stats().dropped_messages,
-            0u);
-}
-
-TEST(SansioCertified, ChaosPlanInteropMatchesBlocking) {
-  // Crash/restart chaos: checkpoint resume in both modes, with
-  // checkpoint.snapshots / checkpoint.restores / chaos.* counters and
-  // restarts/bits_replayed asserted identical by the harness. Park
-  // resumes must NOT leak into checkpoint.restores.
-  sim::ChaosSpec spec;
-  spec.players = 2;
-  spec.seed = 0xC405;
-  spec.crash.crash_prob = 0.04;
-  spec.crash.restart_ticks = 3;
-  std::vector<std::unique_ptr<sim::ChaosPlan>> plans;
-  VerifiedRunResult blocking, machined;
-  differential_certified_session(
-      0xC406,
-      [&](SessionHooks& hooks) {
-        plans.push_back(std::make_unique<sim::ChaosPlan>(spec, 0xC407));
-        hooks.chaos = plans.back().get();
-        return 0;
-      },
-      &blocking, &machined);
-  EXPECT_GT(plans.front()->stats().crashes, 0u);
-  EXPECT_GT(blocking.restarts, 0u);
-  EXPECT_EQ(blocking.restarts, machined.restarts);
-}
-
-TEST(SansioCertified, BudgetCapInteropMatchesBlocking) {
-  // A bit cap that trips mid-session: identical ladder descent
-  // (retry -> degrade) and identical budget.checks/budget.exhaustions in
-  // both modes — the park-resume stepping must not re-run (or skip) any
-  // between-attempt budget check.
-  VerifiedRunResult blocking;
-  differential_certified_session(
-      0xB0D6,
-      [](SessionHooks& hooks) {
-        hooks.budget.max_bits = 64;
-        return 0;
-      },
-      &blocking);
-  EXPECT_TRUE(blocking.degraded);
-  EXPECT_EQ(blocking.budget_reason, core::BudgetDimension::kBits);
-}
-
-TEST(SansioCertified, BudgetRefusalInteropMatchesBlocking) {
-  // Bottom rung: strict-SLA refusal instead of a superset, same in both
-  // modes (retry -> degrade -> REFUSE end of the ladder).
-  VerifiedRunResult blocking;
-  differential_certified_session(
-      0xB0D7,
-      [](SessionHooks& hooks) {
-        hooks.budget.max_bits = 64;
-        hooks.budget.refuse_on_exhaustion = true;
-        return 0;
-      },
-      &blocking);
-  EXPECT_TRUE(blocking.refused);
-  EXPECT_TRUE(blocking.intersection.empty());
-  EXPECT_EQ(blocking.rung, core::DegradeRung::kRefused);
-}
-
-TEST(SansioCertified, SchedulerDrivesCertifiedSessions) {
-  // Certified sessions as scheduler citizens: a small interleaved fleet,
-  // each compared against its blocking twin. Every session gets its own
-  // tracer (thread/session affinity), faults on odd sessions.
-  constexpr std::size_t kSessions = 24;
-  sim::FaultSpec spec;
-  spec.flip_per_bit = 3e-4;
-  spec.seed = 0x0DD5;
-
-  std::vector<VerifiedRunResult> blocking(kSessions);
-  for (std::size_t g = 0; g < kSessions; ++g) {
-    const SessionInputs in = certified_inputs(util::mix64(0x5CED, g));
-    sim::FaultPlan plan(spec);
-    SessionHooks hooks;
-    if (g % 2 == 1) hooks.faults = &plan;
-    const sim::SharedRandomness shared(in.seed);
-    blocking[g] = multiparty::verified_two_party_intersection(
-        shared, in.nonce, in.universe, in.s, in.t, {}, 0, in.retry, hooks);
-  }
-
-  runtime::Scheduler sched([] {
-    runtime::SchedulerOptions o;
-    o.seed = 0x5CEE;
-    o.chunk_bytes = 9;
-    o.arrival_window = 8;
-    return o;
-  }());
-  std::vector<std::unique_ptr<sim::FaultPlan>> plans;
-  for (std::size_t g = 0; g < kSessions; ++g) {
-    const SessionInputs in = certified_inputs(util::mix64(0x5CED, g));
-    SessionMachineConfig cfg;
-    cfg.seed = in.seed;
-    cfg.nonce = in.nonce;
-    cfg.universe = in.universe;
-    cfg.s = in.s;
-    cfg.t = in.t;
-    cfg.retry = in.retry;
-    if (g % 2 == 1) {
-      plans.push_back(std::make_unique<sim::FaultPlan>(spec));
-      cfg.hooks.faults = plans.back().get();
-    }
-    sched.add(std::make_unique<VerifiedSessionMachine>(std::move(cfg)), g);
-  }
-  sched.run();
-  EXPECT_EQ(sched.completed(), kSessions);
-  for (std::size_t g = 0; g < kSessions; ++g) {
-    ASSERT_EQ(sched.record(g).final_status, core::MachineStatus::kDone) << g;
-    EXPECT_EQ(sched.record(g).result_fingerprint,
-              multiparty::fingerprint_verified_result(blocking[g]))
-        << g;
-    EXPECT_EQ(sched.record(g).bits_total, blocking[g].cost.bits_total) << g;
   }
 }
 

@@ -18,8 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "core/basic_intersection.h"
+#include "core/budget.h"
 #include "core/checkpoint.h"
 #include "core/bucket_eq.h"
 #include "core/deterministic_exchange.h"
@@ -29,7 +33,11 @@
 #include "core/verification_tree.h"
 #include "multiparty/coordinator.h"
 #include "multiparty/tournament.h"
+#include "obs/recorder.h"
+#include "obs/tracer.h"
 #include "sim/channel.h"
+#include "sim/chaos.h"
+#include "sim/fault.h"
 #include "sim/network.h"
 #include "sim/randomness.h"
 #include "util/rng.h"
@@ -222,6 +230,247 @@ TEST(TranscriptDigest, MultipartyTournament) {
   EXPECT_EQ(net.total_bits(), 12086u);
   EXPECT_EQ(net.rounds(), 46u);
   EXPECT_EQ(net.max_player_bits(), 4777u);
+}
+
+// ---------- the certified session, one pin per ladder rung ----------
+//
+// multiparty::verified_two_party_intersection (verification tree, 2k-bit
+// certificate, backstop, degradation ladder) pinned on five sessions that
+// between them reach every recovery path: clean/exact, iid faults
+// (retries), chaos crash/restart (checkpoint resume), a bit cap
+// (degraded) and a bit cap with refuse_on_exhaustion (refused). Each pin
+// covers every VerifiedRunResult field, the flight recorder's transcript
+// digest and the tracer's full counter map, so a refactor of the session
+// cannot move a retry, a restore or a counter without failing here.
+
+struct SessionPin {
+  util::Set intersection;
+  sim::CostStats cost;
+  std::uint64_t repetitions;
+  bool verified;
+  bool degraded;
+  std::uint64_t restarts;
+  std::uint64_t bits_replayed;
+  bool peer_lost;
+  core::DegradeRung rung;
+  bool refused;
+  core::BudgetDimension budget_reason;
+  std::uint64_t recorder_digest;
+  std::map<std::string, std::uint64_t> counters;
+};
+
+// Canonical text of a pin, compared as a whole so a mismatch prints every
+// observed value next to the pinned one.
+std::string describe(const SessionPin& p) {
+  std::ostringstream os;
+  os << "intersection {";
+  for (const std::uint64_t v : p.intersection) os << v << "u, ";
+  os << "}\ncost {" << p.cost.bits_total << "u, " << p.cost.bits_from_alice
+     << "u, " << p.cost.bits_from_bob << "u, " << p.cost.messages << "u, "
+     << p.cost.rounds << "u}\nrepetitions " << p.repetitions
+     << "\nverified " << p.verified << "\ndegraded " << p.degraded
+     << "\nrestarts " << p.restarts << "\nbits_replayed " << p.bits_replayed
+     << "\npeer_lost " << p.peer_lost << "\nrung "
+     << core::degrade_rung_name(p.rung) << "\nrefused " << p.refused
+     << "\nbudget_reason " << core::budget_dimension_name(p.budget_reason)
+     << std::hex << "\nrecorder_digest 0x" << p.recorder_digest << "ull"
+     << std::dec << "\ncounters\n";
+  for (const auto& [name, value] : p.counters) {
+    os << "  {\"" << name << "\", " << value << "u},\n";
+  }
+  return os.str();
+}
+
+// Runs one certified session on a fixed 16-vs-16 instance (overlap 6,
+// universe 2^12) with a tracer and a flight recorder installed; `rig`
+// adds the session's hostile environment to the hooks.
+template <typename Rig>
+SessionPin run_certified(std::uint64_t seed, Rig rig) {
+  util::Rng wrng(util::mix64(seed, 0x1235));
+  const std::uint64_t universe = std::uint64_t{1} << 12;
+  const util::SetPair pair = util::random_set_pair(wrng, universe, 16, 6);
+  obs::Tracer tracer;
+  obs::FlightRecorder recorder;
+  multiparty::SessionHooks hooks;
+  hooks.tracer = &tracer;
+  hooks.recorder = &recorder;
+  rig(hooks);
+  const sim::SharedRandomness shared(seed);
+  const multiparty::VerifiedRunResult r =
+      multiparty::verified_two_party_intersection(
+          shared, util::mix64(seed, 0xCE55), universe, pair.s, pair.t, {}, 0,
+          {}, hooks);
+  SessionPin out{r.intersection,  r.cost,      r.repetitions,
+                 r.verified,      r.degraded,  r.restarts,
+                 r.bits_replayed, r.peer_lost, r.rung,
+                 r.refused,       r.budget_reason,
+                 recorder.transcript_digest(), {}};
+  for (const auto& [name, counter] : tracer.metrics().counters()) {
+    out.counters[name] = counter.value();
+  }
+  return out;
+}
+
+TEST(CertifiedSessionPin, CleanExact) {
+  const SessionPin pin =
+      run_certified(0xC1EA, [](multiparty::SessionHooks&) {});
+  const SessionPin want{
+      {762u, 1466u, 2375u, 2763u, 3456u, 3979u},
+      {507u, 343u, 164u, 12u, 12u},
+      /*repetitions=*/1u,
+      /*verified=*/true,
+      /*degraded=*/false,
+      /*restarts=*/0u,
+      /*bits_replayed=*/0u,
+      /*peer_lost=*/false,
+      core::DegradeRung::kExact,
+      /*refused=*/false,
+      core::BudgetDimension::kNone,
+      /*recorder_digest=*/0x617114d60210e04ull,
+      {{"bi.batches", 1u},
+       {"bi.instances", 12u},
+       {"mp.repetitions", 1u},
+       {"mp.verified_runs", 1u},
+       {"vt.bi_runs", 12u},
+       {"vt.stage_failures", 12u}}};
+  EXPECT_EQ(describe(pin), describe(want));
+}
+
+TEST(CertifiedSessionPin, FaultPlanRetries) {
+  sim::FaultSpec spec;
+  spec.flip_per_bit = 5e-4;
+  spec.drop_prob = 0.03;
+  spec.seed = 0xFA17;
+  sim::FaultPlan plan(spec);
+  const SessionPin pin = run_certified(
+      0xFA07, [&](multiparty::SessionHooks& hooks) { hooks.faults = &plan; });
+  const SessionPin want{
+      {1048u, 1278u, 1298u, 2192u, 2528u, 3651u},
+      {1122u, 690u, 432u, 16u, 16u},
+      /*repetitions=*/2u,
+      /*verified=*/true,
+      /*degraded=*/false,
+      /*restarts=*/0u,
+      /*bits_replayed=*/0u,
+      /*peer_lost=*/false,
+      core::DegradeRung::kExact,
+      /*refused=*/false,
+      core::BudgetDimension::kNone,
+      /*recorder_digest=*/0x8ebc7a1c8357faeeull,
+      {{"bi.batches", 2u},
+       {"bi.instances", 24u},
+       {"fault.drops", 1u},
+       {"fault.injected", 1u},
+       {"fault.integrity_failures", 1u},
+       {"mp.repetitions", 2u},
+       {"mp.verified_runs", 1u},
+       {"retry.attempts", 1u},
+       {"retry.decode_failures", 1u},
+       {"vt.bi_runs", 12u},
+       {"vt.stage_failures", 12u}}};
+  EXPECT_EQ(describe(pin), describe(want));
+}
+
+TEST(CertifiedSessionPin, ChaosCrashResumesFromCheckpoint) {
+  sim::ChaosSpec spec;
+  spec.players = 2;
+  spec.seed = 0xC407;
+  spec.crash.crash_prob = 0.04;
+  spec.crash.restart_ticks = 3;
+  sim::ChaosPlan plan(spec, 0xC407);
+  const SessionPin pin = run_certified(
+      0xC406, [&](multiparty::SessionHooks& hooks) { hooks.chaos = &plan; });
+  const SessionPin want{
+      {401u, 571u, 2226u, 2867u, 3670u, 3926u},
+      {582u, 435u, 147u, 15u, 20u},
+      /*repetitions=*/1u,
+      /*verified=*/true,
+      /*degraded=*/false,
+      /*restarts=*/2u,
+      /*bits_replayed=*/110u,
+      /*peer_lost=*/false,
+      core::DegradeRung::kExact,
+      /*refused=*/false,
+      core::BudgetDimension::kNone,
+      /*recorder_digest=*/0x7989fd2188eb28d5ull,
+      {{"bi.batches", 2u},
+       {"bi.instances", 24u},
+       {"chaos.crash_blocks", 2u},
+       {"chaos.crashes", 2u},
+       {"chaos.restarts", 2u},
+       {"checkpoint.bits_replayed", 110u},
+       {"checkpoint.restores", 1u},
+       {"checkpoint.resume_successes", 1u},
+       {"checkpoint.snapshots", 3u},
+       {"mp.repetitions", 1u},
+       {"mp.verified_runs", 1u},
+       {"vt.bi_runs", 12u},
+       {"vt.stage_failures", 12u}}};
+  EXPECT_EQ(describe(pin), describe(want));
+}
+
+TEST(CertifiedSessionPin, BitCapDegrades) {
+  const SessionPin pin =
+      run_certified(0xB0D6, [](multiparty::SessionHooks& hooks) {
+        hooks.budget.max_bits = 64;
+      });
+  const SessionPin want{
+      {1244u, 1619u, 1730u, 2042u, 3303u, 4064u},
+      {905u, 476u, 429u, 10u, 10u},
+      /*repetitions=*/1u,
+      /*verified=*/false,
+      /*degraded=*/true,
+      /*restarts=*/0u,
+      /*bits_replayed=*/0u,
+      /*peer_lost=*/false,
+      core::DegradeRung::kFlaggedSuperset,
+      /*refused=*/false,
+      core::BudgetDimension::kBits,
+      /*recorder_digest=*/0xb3bf35bc5129f2a4ull,
+      {{"bi.batches", 2u},
+       {"bi.instances", 12u},
+       {"budget.checks", 2u},
+       {"budget.exhausted_bits", 1u},
+       {"budget.exhaustions", 1u},
+       {"checkpoint.restores", 0u},
+       {"checkpoint.snapshots", 1u},
+       {"degraded.clean_supersets", 1u},
+       {"degraded.runs", 1u},
+       {"vt.bi_runs", 11u},
+       {"vt.stage_failures", 11u}}};
+  EXPECT_EQ(describe(pin), describe(want));
+}
+
+TEST(CertifiedSessionPin, BitCapRefuses) {
+  const SessionPin pin =
+      run_certified(0xB0D7, [](multiparty::SessionHooks& hooks) {
+        hooks.budget.max_bits = 64;
+        hooks.budget.refuse_on_exhaustion = true;
+      });
+  const SessionPin want{
+      {},
+      {399u, 221u, 178u, 6u, 6u},
+      /*repetitions=*/1u,
+      /*verified=*/false,
+      /*degraded=*/false,
+      /*restarts=*/0u,
+      /*bits_replayed=*/0u,
+      /*peer_lost=*/false,
+      core::DegradeRung::kRefused,
+      /*refused=*/true,
+      core::BudgetDimension::kBits,
+      /*recorder_digest=*/0x32dfdc55bc4d1f60ull,
+      {{"bi.batches", 1u},
+       {"bi.instances", 10u},
+       {"budget.checks", 2u},
+       {"budget.exhausted_bits", 1u},
+       {"budget.exhaustions", 1u},
+       {"budget.refusals", 1u},
+       {"checkpoint.restores", 0u},
+       {"checkpoint.snapshots", 1u},
+       {"vt.bi_runs", 10u},
+       {"vt.stage_failures", 10u}}};
+  EXPECT_EQ(describe(pin), describe(want));
 }
 
 }  // namespace

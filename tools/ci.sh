@@ -87,8 +87,9 @@ step "chaos slice (ctest -L chaos)"
 
 step "overload slice (ctest -L overload)"
 # Budgets, backoff, retry pool, admission control, circuit breakers, the
-# degradation ladder, and the exp_overload safety/efficiency gates — the
-# PR-8 lane. The sweep's own exit code carries the ladder-safety,
+# degradation ladder (pinned per rung on the certified session in
+# transcript_digest_test), and the exp_overload safety/efficiency gates —
+# the PR-8 lane. The sweep's own exit code carries the ladder-safety,
 # breaker-beats-flat-retry and unhit-budget-bit-identity gates; on top of
 # that, bench_compare must pass the committed BENCH_overload.json against
 # itself (schema + identity check on the recorded trajectory).
