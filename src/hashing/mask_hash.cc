@@ -23,24 +23,22 @@ std::uint64_t mask_hash(const util::BitBuffer& data, unsigned bits,
     const std::uint64_t word =
         tail == 0 ? words[0] : (words[0] & tail_mask);
     for (unsigned b = 0; b < bits; ++b) {
-      unsigned parity = std::popcount(stream.next() & nbits) & 1u;
-      parity ^= std::popcount(stream.next() & word) & 1u;
-      out |= static_cast<std::uint64_t>(parity) << b;
+      std::uint64_t acc = stream.next() & nbits;
+      acc ^= stream.next() & word;
+      out |= static_cast<std::uint64_t>(std::popcount(acc) & 1) << b;
     }
     return out;
   }
   for (unsigned b = 0; b < bits; ++b) {
     // Parity of AND between data and a fresh mask. Length information is
     // folded in via an extra mask word keyed on nbits so that messages that
-    // are prefixes of one another still hash independently.
-    unsigned parity = std::popcount(stream.next() & nbits) & 1u;
-    for (std::size_t w = 0; w < full; ++w) {
-      parity ^= std::popcount(stream.next() & words[w]) & 1u;
-    }
-    if (tail != 0) {
-      parity ^= std::popcount(stream.next() & words[full] & tail_mask) & 1u;
-    }
-    out |= static_cast<std::uint64_t>(parity) << b;
+    // are prefixes of one another still hash independently. The parity of
+    // a XOR of words is the XOR of their parities, so the masked words
+    // fold into one accumulator and one popcount per output bit.
+    std::uint64_t acc = stream.next() & nbits;
+    for (std::size_t w = 0; w < full; ++w) acc ^= stream.next() & words[w];
+    if (tail != 0) acc ^= stream.next() & words[full] & tail_mask;
+    out |= static_cast<std::uint64_t>(std::popcount(acc) & 1) << b;
   }
   return out;
 }

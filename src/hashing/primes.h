@@ -7,7 +7,8 @@
 // Perf engine (docs/PERFORMANCE.md): Miller-Rabin exponentiation runs in
 // the Montgomery domain (hashing/barrett.h) for odd inputs below 2^63,
 // and every next-prime search result is memoized in a thread-safe table
-// sharded by candidate bit-width. Caching never changes WHICH prime a
+// sharded by candidate bit-width (a full shard serves hits but takes no
+// writer lock on a miss). Caching never changes WHICH prime a
 // session picks — the candidate draw still consumes the same Rng values,
 // and next_prime_at_least is a pure function of its argument — it only
 // skips re-verifying a prime that an earlier session already verified.
@@ -19,8 +20,10 @@
 
 namespace setint::hashing {
 
-// Deterministic Miller-Rabin, exact for all 64-bit inputs (fixed witness
-// set {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}).
+// Deterministic Miller-Rabin, exact for all 64-bit inputs: trial division
+// by the primes up to 131, then size-keyed witness sets — {2, 7, 61} below
+// 4,759,123,141 and Sinclair's {2, 325, 9375, 28178, 450775, 9780504,
+// 1795265022} above, skipping a base that is 0 mod n.
 bool is_prime(std::uint64_t n);
 
 // Smallest prime >= n; throws if none fits in 64 bits. Results are

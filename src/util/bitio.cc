@@ -1,8 +1,30 @@
 #include "util/bitio.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace setint::util {
+
+namespace {
+
+// The low `width` bits of x in reverse order (width <= 64).
+std::uint64_t reverse_low_bits(std::uint64_t x, unsigned width) {
+  if (width == 0) return 0;
+  x = ((x >> 1) & 0x5555555555555555ull) | ((x & 0x5555555555555555ull) << 1);
+  x = ((x >> 2) & 0x3333333333333333ull) | ((x & 0x3333333333333333ull) << 2);
+  x = ((x >> 4) & 0x0f0f0f0f0f0f0f0full) | ((x & 0x0f0f0f0f0f0f0f0full) << 4);
+  return __builtin_bswap64(x) >> (64 - width);
+}
+
+std::uint64_t low_mask(unsigned width) {
+  return width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+}
+
+[[noreturn]] void throw_read_past_end() {
+  throw std::out_of_range("BitReader: read past end of message");
+}
+
+}  // namespace
 
 void BitBuffer::append_bit(bool b) {
   const std::size_t word = size_bits_ / 64;
@@ -17,6 +39,10 @@ void BitBuffer::append_bits(std::uint64_t value, unsigned width) {
   if (width < 64 && (value >> width) != 0) {
     throw std::invalid_argument("append_bits: value does not fit in width");
   }
+  put_bits(value, width);
+}
+
+void BitBuffer::put_bits(std::uint64_t value, unsigned width) {
   if (width == 0) return;
   // Word-wise write: place the low (64 - offset) bits into the current
   // tail word, spill the rest into a fresh word. Bit layout is identical
@@ -60,10 +86,14 @@ void BitBuffer::truncate(std::size_t new_size_bits) {
 void BitBuffer::append_elias_gamma(std::uint64_t v) {
   if (v == 0) throw std::invalid_argument("elias gamma requires v >= 1");
   const unsigned n = 63u - static_cast<unsigned>(std::countl_zero(v));
-  for (unsigned i = 0; i < n; ++i) append_bit(false);
-  // v MSB-first, n + 1 bits.
-  for (unsigned i = 0; i <= n; ++i) {
-    append_bit((v >> (n - i)) & 1);
+  // n zeros, then v MSB-first: in LSB-first storage that is v's n + 1
+  // bits reversed, shifted past the zero run.
+  const std::uint64_t payload = reverse_low_bits(v, n + 1);
+  if (n <= 31) {
+    put_bits(payload << n, 2 * n + 1);
+  } else {
+    put_bits(0, n);
+    put_bits(payload, n + 1);
   }
 }
 
@@ -75,9 +105,13 @@ void BitBuffer::append_rice(std::uint64_t v, unsigned b) {
     // the data; refuse rather than emit megabit unary runs.
     throw std::invalid_argument("rice: quotient too large for parameter");
   }
-  for (std::uint64_t i = 0; i < q; ++i) append_bit(true);
-  append_bit(false);
-  append_bits(v & ((std::uint64_t{1} << b) - 1), b);
+  // q ones and a terminating zero, 64 bits at a time, then b remainder
+  // bits.
+  std::uint64_t ones = q;
+  for (; ones >= 64; ones -= 64) put_bits(~std::uint64_t{0}, 64);
+  put_bits(low_mask(static_cast<unsigned>(ones)),
+           static_cast<unsigned>(ones) + 1);
+  put_bits(v & low_mask(b), b);
 }
 
 bool BitBuffer::bit(std::size_t i) const {
@@ -112,11 +146,8 @@ std::uint64_t BitBuffer::fingerprint() const {
 }
 
 bool BitBuffer::operator==(const BitBuffer& other) const {
-  if (size_bits_ != other.size_bits_) return false;
-  for (std::size_t i = 0; i < size_bits_; ++i) {
-    if (bit(i) != other.bit(i)) return false;
-  }
-  return true;
+  // Both buffers hold exactly ceil(size / 64) words with zeroed tails.
+  return size_bits_ == other.size_bits_ && words_ == other.words_;
 }
 
 void BitBuffer::clear() {
@@ -132,18 +163,25 @@ std::string BitBuffer::to_string() const {
 }
 
 bool BitReader::read_bit() {
-  if (pos_ >= buffer_->size_bits()) {
-    throw std::out_of_range("BitReader: read past end of message");
-  }
+  if (pos_ >= buffer_->size_bits()) throw_read_past_end();
   return buffer_->bit(pos_++);
+}
+
+std::uint64_t BitReader::peek_word() const {
+  const std::vector<std::uint64_t>& words = buffer_->words();
+  const std::size_t i = pos_ / 64;
+  const unsigned offset = static_cast<unsigned>(pos_ % 64);
+  if (i >= words.size()) return 0;
+  std::uint64_t w = words[i] >> offset;
+  if (offset != 0 && i + 1 < words.size()) w |= words[i + 1] << (64 - offset);
+  return w;
 }
 
 std::uint64_t BitReader::read_bits(unsigned width) {
   if (width > 64) throw std::invalid_argument("read_bits: width > 64");
-  std::uint64_t value = 0;
-  for (unsigned i = 0; i < width; ++i) {
-    if (read_bit()) value |= (std::uint64_t{1} << i);
-  }
+  if (width > remaining()) throw_read_past_end();
+  const std::uint64_t value = peek_word() & low_mask(width);
+  pos_ += width;
   return value;
 }
 
@@ -173,21 +211,28 @@ void BitReader::charge_items(std::uint64_t items, const char* field) {
 }
 
 std::uint64_t BitReader::read_elias_gamma() {
-  unsigned n = 0;
-  while (!read_bit()) {
-    ++n;
-    if (n > 63) {
-      // 64+ leading zeros cannot start a codeword for a 64-bit value; a
-      // crafted all-zeros frame lands here instead of widening past 64.
+  const std::size_t avail = std::min<std::size_t>(remaining(), 64);
+  const std::uint64_t head = peek_word();  // zero past the end
+  if (head == 0) {
+    // 64+ leading zeros cannot start a codeword for a 64-bit value; a
+    // crafted all-zeros frame lands here instead of widening past 64.
+    if (avail == 64) {
       throw std::invalid_argument(
           "decode: gamma zero-run exceeds 63 bits (field 'gamma')");
     }
+    throw_read_past_end();
   }
-  std::uint64_t v = 1;  // the leading 1 bit just consumed
-  for (unsigned i = 0; i < n; ++i) {
-    v = (v << 1) | static_cast<std::uint64_t>(read_bit());
+  // n zeros, the leading 1, then the n low bits of v MSB-first.
+  const unsigned n = static_cast<unsigned>(std::countr_zero(head));
+  std::uint64_t low;
+  if (2 * n + 1 <= avail) {
+    low = (head >> (n + 1)) & low_mask(n);
+    pos_ += 2 * n + 1;
+  } else {
+    pos_ += n + 1;
+    low = read_bits(n);
   }
-  return v;
+  return (std::uint64_t{1} << n) | reverse_low_bits(low, n);
 }
 
 std::uint64_t BitReader::read_rice(unsigned b) {
@@ -195,14 +240,25 @@ std::uint64_t BitReader::read_rice(unsigned b) {
   // Largest quotient whose value q << b still fits in 64 bits; anything
   // beyond is unencodable, so a longer unary run is a crafted frame.
   const std::uint64_t max_q = ~std::uint64_t{0} >> b;
+  const std::uint64_t cap = std::min(max_q, std::uint64_t{1} << 20);
+  // The unary run, up to 64 bits per step.
   std::uint64_t q = 0;
-  while (read_bit()) {
-    ++q;
-    if (q > (std::uint64_t{1} << 20) || q > max_q) {
+  while (true) {
+    const std::size_t avail = std::min<std::size_t>(remaining(), 64);
+    if (avail == 0) throw_read_past_end();
+    const unsigned ones =
+        static_cast<unsigned>(std::countr_one(peek_word()));  // <= avail
+    q += ones;
+    if (q > cap) {
       throw std::invalid_argument(
           "decode: rice unary quotient overflows the 64-bit value "
           "(field 'rice')");
     }
+    if (ones < avail) {
+      pos_ += ones + 1;  // and the terminating zero
+      break;
+    }
+    pos_ += ones;
   }
   return (q << b) | read_bits(b);
 }

@@ -81,6 +81,11 @@ class BitBuffer {
   std::string to_string() const;
 
  private:
+  // append_bits without its argument checks.
+  void put_bits(std::uint64_t value, unsigned width);
+
+  // Invariant: words_ holds exactly ceil(size_bits_ / 64) words and every
+  // bit at index >= size_bits_ is zero.
   std::vector<std::uint64_t> words_;
   std::size_t size_bits_ = 0;
 };
@@ -132,6 +137,10 @@ class BitReader {
   const core::ResourceLimits* limits() const { return limits_; }
 
  private:
+  // The up to 64 bits at the read position, LSB first; bits past the end
+  // of the buffer read as zero.
+  std::uint64_t peek_word() const;
+
   const BitBuffer* buffer_;
   const core::ResourceLimits* limits_;
   std::size_t pos_ = 0;

@@ -1,6 +1,5 @@
 #include "util/rng.h"
 
-#include <bit>
 #include <stdexcept>
 
 namespace setint::util {
@@ -21,18 +20,6 @@ std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
   std::uint64_t sm = seed;
   for (auto& w : s_) w = splitmix64(sm);
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::below(std::uint64_t bound) {

@@ -7,6 +7,7 @@
 // both parties without communication.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string_view>
 
@@ -18,7 +19,18 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed);
 
-  std::uint64_t next();
+  // Inline: the mask hash draws hundreds of thousands of words a session.
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform value in [0, bound) via rejection sampling; bound must be > 0.
   std::uint64_t below(std::uint64_t bound);

@@ -207,6 +207,7 @@ SetPair random_set_pair(Rng& rng, std::uint64_t universe, std::size_t k,
   }
   SetPair out;
   out.s.assign(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(k));
+  out.t.reserve(k);  // else the insert below may double t's capacity
   out.t.assign(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(shared));
   out.t.insert(out.t.end(), pool.begin() + static_cast<std::ptrdiff_t>(k),
                pool.end());

@@ -5,10 +5,12 @@
 // BufferPool recycling contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "hashing/fks.h"
@@ -167,6 +169,207 @@ TEST(BitioProperty, GammaRoundTripRandomAndEdges) {
   EXPECT_TRUE(r.exhausted());
 }
 
+// ---------- word-at-a-time codec pins ----------
+
+// Bit-at-a-time reference encodings, straight from the definitions.
+void reference_gamma(BitBuffer& b, std::uint64_t v) {
+  const unsigned n = 63u - static_cast<unsigned>(std::countl_zero(v));
+  for (unsigned i = 0; i < n; ++i) b.append_bit(false);
+  for (unsigned i = 0; i <= n; ++i) b.append_bit((v >> (n - i)) & 1);
+}
+
+void reference_rice(BitBuffer& b, std::uint64_t v, unsigned param) {
+  for (std::uint64_t i = 0; i < (v >> param); ++i) b.append_bit(true);
+  b.append_bit(false);
+  for (unsigned i = 0; i < param; ++i) b.append_bit((v >> i) & 1);
+}
+
+// `offset` seeded random bits, written one at a time.
+BitBuffer random_prefix(Rng& rng, unsigned offset) {
+  BitBuffer b;
+  for (unsigned i = 0; i < offset; ++i) b.append_bit(rng.coin());
+  return b;
+}
+
+TEST(CodecPins, GammaAtEveryOffsetMatchesBitReference) {
+  std::vector<std::uint64_t> values = {~std::uint64_t{0}};
+  for (unsigned j = 0; j < 64; ++j) {
+    const std::uint64_t p = std::uint64_t{1} << j;
+    if (p - 1 != 0) values.push_back(p - 1);
+    values.push_back(p);
+    values.push_back(p + 1);
+  }
+  Rng rng(0xC0DE);
+  for (unsigned offset = 0; offset < 64; ++offset) {
+    for (std::uint64_t v : values) {
+      BitBuffer fast = random_prefix(rng, offset);
+      BitBuffer reference = fast;
+      fast.append_elias_gamma(v);
+      reference_gamma(reference, v);
+      ASSERT_EQ(fast, reference) << v << " at offset " << offset;
+      ASSERT_EQ(fast.words(), reference.words());
+      // Decoded flush against the end of the buffer and with bits after.
+      for (const bool trailer : {false, true}) {
+        BitBuffer b = fast;
+        if (trailer) b.append_bits(0x5, 3);
+        BitReader r(b);
+        r.read_bits(offset);
+        ASSERT_EQ(r.read_elias_gamma(), v) << v << " at offset " << offset;
+        ASSERT_EQ(r.position(), fast.size_bits());
+      }
+    }
+  }
+  EXPECT_THROW(BitBuffer{}.append_elias_gamma(0), std::invalid_argument);
+}
+
+TEST(CodecPins, RiceAcrossWordBoundariesMatchesBitReference) {
+  Rng rng(0xC0DF);
+  for (unsigned param = 0; param < 64; ++param) {
+    const std::uint64_t max_q = ~std::uint64_t{0} >> param;
+    for (std::uint64_t q : {0u, 1u, 2u, 62u, 63u, 64u, 65u, 127u, 128u,
+                            129u, 200u}) {
+      if (q > max_q) continue;
+      const std::uint64_t rem =
+          param == 0 ? 0 : rng.next() >> (64 - param);
+      const std::uint64_t v = (q << param) | rem;
+      for (unsigned offset : {0u, 1u, 31u, 63u}) {
+        BitBuffer fast = random_prefix(rng, offset);
+        BitBuffer reference = fast;
+        fast.append_rice(v, param);
+        reference_rice(reference, v, param);
+        ASSERT_EQ(fast, reference) << "b=" << param << " q=" << q;
+        ASSERT_EQ(fast.words(), reference.words());
+        BitReader r(fast);
+        r.read_bits(offset);
+        ASSERT_EQ(r.read_rice(param), v) << "b=" << param << " q=" << q;
+        ASSERT_TRUE(r.exhausted());
+      }
+    }
+  }
+}
+
+TEST(CodecPins, ReadBitsEveryWidthAtEveryOffset) {
+  Rng rng(0xC0E0);
+  const BitBuffer b = random_prefix(rng, 200);
+  for (unsigned offset = 0; offset < 64; ++offset) {
+    for (unsigned width = 0; width <= 64; ++width) {
+      std::uint64_t expected = 0;
+      for (unsigned i = 0; i < width; ++i) {
+        expected |= static_cast<std::uint64_t>(b.bit(offset + i)) << i;
+      }
+      BitReader r(b);
+      for (unsigned i = 0; i < offset; ++i) r.read_bit();
+      ASSERT_EQ(r.read_bits(width), expected)
+          << "width " << width << " at offset " << offset;
+      ASSERT_EQ(r.position(), offset + width);
+    }
+  }
+  // At the end: width 0 reads nothing, anything wider is past the end.
+  for (unsigned size = 0; size < 130; ++size) {
+    const BitBuffer tail = random_prefix(rng, size);
+    BitReader r(tail);
+    r.read_bits(size % 65);
+    while (r.remaining() > 0) {
+      const std::size_t step = std::min<std::size_t>(64, r.remaining());
+      r.read_bits(static_cast<unsigned>(step));
+    }
+    EXPECT_EQ(r.read_bits(0), 0u);
+    EXPECT_THROW(r.read_bits(1), std::out_of_range);
+  }
+  BitReader r(b);
+  EXPECT_THROW(r.read_bits(65), std::invalid_argument);
+}
+
+TEST(CodecPins, DecoderErrorsKeepTheirTypes) {
+  Rng rng(0xC0E1);
+  for (unsigned offset : {0u, 1u, 37u, 63u, 64u}) {
+    // 64 zero bits cannot start a gamma codeword.
+    BitBuffer zeros = random_prefix(rng, offset);
+    zeros.append_bits(0, 64);
+    zeros.append_bit(true);
+    BitReader r64(zeros);
+    r64.read_bits(offset);
+    try {
+      r64.read_elias_gamma();
+      FAIL() << "64 zeros decoded";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'gamma'"), std::string::npos);
+    }
+    // 63 zeros, then the end of the buffer.
+    BitBuffer short_run = random_prefix(rng, offset);
+    short_run.append_bits(0, 63);
+    BitReader r63(short_run);
+    r63.read_bits(offset);
+    EXPECT_THROW(r63.read_elias_gamma(), std::out_of_range);
+    // A gamma payload cut short, on both sides of the one-word fast path.
+    for (std::uint64_t v : {std::uint64_t{2}, std::uint64_t{12345},
+                            std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+      BitBuffer gamma = random_prefix(rng, offset);
+      gamma.append_elias_gamma(v);
+      gamma.truncate(gamma.size_bits() - 1);
+      BitReader rg(gamma);
+      rg.read_bits(offset);
+      EXPECT_THROW(rg.read_elias_gamma(), std::out_of_range) << v;
+    }
+    // A Rice remainder cut short, and a unary run that meets the end.
+    BitBuffer rice = random_prefix(rng, offset);
+    rice.append_rice((std::uint64_t{70} << 9) | 0x1FF, 9);
+    rice.truncate(rice.size_bits() - 1);
+    BitReader rr(rice);
+    rr.read_bits(offset);
+    EXPECT_THROW(rr.read_rice(9), std::out_of_range);
+    BitBuffer ones = random_prefix(rng, offset);
+    ones.append_bits(~std::uint64_t{0}, 64);
+    ones.append_bits(0x7, 3);
+    BitReader ro(ones);
+    ro.read_bits(offset);
+    EXPECT_THROW(ro.read_rice(3), std::out_of_range);
+  }
+  // The Rice quotient caps: 2^20 for any parameter, and q << b must fit.
+  BitBuffer at_cap;
+  for (int i = 0; i < (1 << 20) / 64; ++i) {
+    at_cap.append_bits(~std::uint64_t{0}, 64);
+  }
+  BitBuffer past_cap = at_cap;
+  at_cap.append_bit(false);
+  BitReader rc(at_cap);
+  EXPECT_EQ(rc.read_rice(0), std::uint64_t{1} << 20);
+  past_cap.append_bits(0x1, 2);
+  BitReader rp(past_cap);
+  EXPECT_THROW(rp.read_rice(0), std::invalid_argument);
+  BitBuffer wide;
+  wide.append_bits(0b011, 3);  // q = 2 does not fit b = 63
+  BitReader rw(wide);
+  try {
+    rw.read_rice(63);
+    FAIL() << "q = 2 decoded at b = 63";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'rice'"), std::string::npos);
+  }
+}
+
+TEST(CodecPins, EqualityIgnoresBitsDroppedByTruncate) {
+  Rng rng(0xC0E2);
+  for (unsigned size = 0; size < 200; ++size) {
+    const BitBuffer base = random_prefix(rng, size);
+    BitBuffer a = base;
+    BitBuffer b = base;
+    a.append_bits(rng.next(), 64);
+    b.append_bits(~rng.next(), 64);
+    a.truncate(size);
+    b.truncate(size);
+    ASSERT_EQ(a, b) << size;
+    ASSERT_EQ(a, base) << size;
+    if (size > 0) {
+      b.toggle_bit(size - 1);
+      ASSERT_FALSE(a == b) << size;
+    }
+    BitBuffer longer = base;
+    longer.append_bit(false);
+    ASSERT_FALSE(longer == base) << size;
+  }
+}
+
 // ---------- Rice ----------
 
 TEST(BitioProperty, RiceRoundTripAcrossParameters) {
@@ -260,9 +463,9 @@ TEST(BitioProperty, MixedRecordStreamRoundTrip) {
   for (int trial = 0; trial < 100; ++trial) {
     BitBuffer b;
     struct Record {
-      int kind;
-      std::uint64_t value;
-      unsigned width;
+      int kind = 0;
+      std::uint64_t value = 0;
+      unsigned width = 0;
       Set set;
     };
     std::vector<Record> records;

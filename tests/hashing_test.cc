@@ -105,6 +105,125 @@ TEST(Primes, RandomPrimeInRange) {
   EXPECT_THROW(hashing::random_prime_in(rng, 24, 29), std::invalid_argument);
 }
 
+// The 12-witness Miller-Rabin that is_prime used before its size-keyed
+// witness sets: trial division by the primes up to 37, then every witness
+// on every survivor (Montgomery ladder below 2^63, u128 `%` above).
+bool reference_mr_witness(std::uint64_t n, std::uint64_t a, std::uint64_t d,
+                          unsigned r) {
+  if (n < (std::uint64_t{1} << 63)) {
+    const hashing::Montgomery64 mont(n);
+    const std::uint64_t one = mont.to_mont(1);
+    const std::uint64_t minus_one = mont.to_mont(n - 1);
+    std::uint64_t base = mont.to_mont(a % n);
+    std::uint64_t x = one;
+    for (std::uint64_t exp = d; exp > 0; exp >>= 1) {
+      if (exp & 1) x = mont.mul(x, base);
+      base = mont.mul(base, base);
+    }
+    if (x == one || x == minus_one) return false;
+    for (unsigned i = 1; i < r; ++i) {
+      x = mont.mul(x, x);
+      if (x == minus_one) return false;
+    }
+    return true;
+  }
+  std::uint64_t x = hashing::powmod(a % n, d, n);
+  if (x == 1 || x == n - 1) return false;
+  for (unsigned i = 1; i < r; ++i) {
+    x = hashing::mulmod(x, x, n);
+    if (x == n - 1) return false;
+  }
+  return true;
+}
+
+// True iff odd n > 2 is a strong probable prime to every base in `bases`.
+bool strong_probable_prime(std::uint64_t n,
+                           const std::vector<std::uint64_t>& bases) {
+  std::uint64_t d = n - 1;
+  unsigned r = 0;
+  for (; (d & 1) == 0; d >>= 1) ++r;
+  for (std::uint64_t a : bases) {
+    if (reference_mr_witness(n, a, d, r)) return false;
+  }
+  return true;
+}
+
+bool reference_is_prime(std::uint64_t n) {
+  static const std::vector<std::uint64_t> kWitnesses = {
+      2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
+  if (n < 2) return false;
+  for (std::uint64_t p : kWitnesses) {
+    if (n == p) return true;
+    if (n % p == 0) return false;
+  }
+  return strong_probable_prime(n, kWitnesses);
+}
+
+std::uint64_t reference_next_prime(std::uint64_t n) {
+  if (n <= 2) return 2;
+  std::uint64_t c = n | 1;
+  while (!reference_is_prime(c)) c += 2;
+  return c;
+}
+
+// Random odd n with exactly `bits` significant bits.
+std::vector<std::uint64_t> random_odd(util::Rng& rng, unsigned bits,
+                                      std::size_t count) {
+  std::vector<std::uint64_t> out(count);
+  for (auto& n : out) {
+    n = (rng.next() >> (64 - bits)) | (std::uint64_t{1} << (bits - 1)) | 1;
+  }
+  return out;
+}
+
+TEST(Primes, SizeKeyedWitnessesMatchTwelveWitnessReference) {
+  util::Rng rng(0x5eed'9121);
+  for (unsigned bits : {31u, 32u, 33u, 48u, 62u, 63u, 64u}) {
+    for (std::uint64_t n : random_odd(rng, bits, 100000)) {
+      ASSERT_EQ(hashing::is_prime(n), reference_is_prime(n))
+          << n << " (" << bits << " bits)";
+    }
+  }
+}
+
+TEST(Primes, MatchesReferenceAcrossTheMontgomerySwitch) {
+  // Montgomery ladder below 2^63, u128 ladder from 2^63 up.
+  const std::uint64_t pivot = std::uint64_t{1} << 63;
+  for (std::uint64_t n = pivot - 20001; n < pivot + 20001; n += 2) {
+    ASSERT_EQ(hashing::is_prime(n), reference_is_prime(n)) << n;
+  }
+}
+
+TEST(Primes, StrongPseudoprimesAreComposite) {
+  // Strong pseudoprime to bases 2, 3, 5 and 7.
+  EXPECT_FALSE(hashing::is_prime(3215031751ull));
+  // The first composite that passes {2, 7, 61}: where the small witness
+  // set stops being exact.
+  EXPECT_TRUE(strong_probable_prime(4759123141ull, {2, 7, 61}));
+  EXPECT_FALSE(hashing::is_prime(4759123141ull));
+  // Strong pseudoprime to bases 2, 13, 23 and 1662803.
+  EXPECT_FALSE(hashing::is_prime(1122004669633ull));
+  // Strong pseudoprime to the nine prime bases 2..23.
+  EXPECT_TRUE(strong_probable_prime(3825123056546413051ull,
+                                    {2, 3, 5, 7, 11, 13, 17, 19, 23}));
+  EXPECT_FALSE(hashing::is_prime(3825123056546413051ull));
+}
+
+TEST(Primes, NextPrimeMatchesReference) {
+  util::Rng rng(0x5eed'9121);  // the samples of the is_prime diff above
+  for (unsigned bits : {31u, 32u, 33u, 48u, 62u, 63u}) {
+    for (std::uint64_t n : random_odd(rng, bits, 100000)) {
+      ASSERT_EQ(hashing::next_prime_at_least(n), reference_next_prime(n))
+          << n << " (" << bits << " bits)";
+    }
+  }
+  for (std::uint64_t n : random_odd(rng, 64, 100000)) {
+    if (n > 0xffff'ffff'ffff'ffc5ull) continue;  // no 64-bit prime above
+    ASSERT_EQ(hashing::next_prime_at_least(n), reference_next_prime(n)) << n;
+  }
+  hashing::prime_cache_clear();
+}
+
 // ---------- pairwise hashing ----------
 
 TEST(PairwiseHash, OutputsInRange) {

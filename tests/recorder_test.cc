@@ -26,6 +26,14 @@ using obs::FlightEvent;
 using obs::FlightEventKind;
 using obs::FlightRecorder;
 
+// "<prefix><i>", built by appending: GCC 12 at -O3 reports a false
+// -Wrestrict on `"e" + std::to_string(i)`.
+std::string numbered(const char* prefix, std::uint64_t i) {
+  std::string label = prefix;
+  label += std::to_string(i);
+  return label;
+}
+
 util::BitBuffer bits_of(std::uint64_t v, unsigned w) {
   util::BitBuffer b;
   b.append_bits(v, w);
@@ -55,7 +63,7 @@ TEST(FlightRecorder, WraparoundKeepsNewestEvents) {
   FlightRecorder rec(8);
   const std::uint64_t total = 21;
   for (std::uint64_t i = 0; i < total; ++i) {
-    rec.record(FlightEventKind::kMessage, "e" + std::to_string(i),
+    rec.record(FlightEventKind::kMessage, numbered("e", i),
                static_cast<int>(i % 2), static_cast<std::uint64_t>(10 * i),
                100 * i);
   }
@@ -67,7 +75,7 @@ TEST(FlightRecorder, WraparoundKeepsNewestEvents) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const std::uint64_t seq = total - 8 + i;  // oldest-first, newest window
     EXPECT_EQ(events[i].sequence, seq);
-    EXPECT_EQ(std::string(events[i].label), "e" + std::to_string(seq));
+    EXPECT_EQ(std::string(events[i].label), numbered("e", seq));
     EXPECT_EQ(events[i].bits, 10 * seq);
     EXPECT_EQ(events[i].bit_offset, 100 * seq);
   }
@@ -108,8 +116,8 @@ TEST(FlightRecorder, KindNamesAreStable) {
 
 TEST(FlightRecorder, DumpJsonlIsParseableAndOrdered) {
   FlightRecorder rec(8);
-  for (int i = 0; i < 12; ++i) {
-    rec.record(FlightEventKind::kMessage, "m" + std::to_string(i));
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    rec.record(FlightEventKind::kMessage, numbered("m", i));
   }
   std::ostringstream os;
   rec.dump_jsonl(os, "unit test");

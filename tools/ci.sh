@@ -29,8 +29,8 @@
 #      and bench_compare'd against the native-dispatch record — every
 #      checksum, digest, bits and rounds cell must be bit-identical across
 #      tiers (timing is skipped as cross-tier incomparable) — plus an
-#      ASan/UBSan pass over the intrinsics (ctest -L simd in
-#      build-sanitize/)
+#      ASan/UBSan pass over the intrinsics and the word-at-a-time codec
+#      (ctest -L "simd|hotpath" in build-sanitize/)
 #   8. the telemetry-overhead gate (exp_cpu --gate-overhead=50) and the
 #      bench_compare self-diff + injected-regression check
 #   9. the bench determinism contract (same seed => identical JSON modulo
@@ -182,11 +182,13 @@ SETINT_FORCE_SCALAR=1 "$BUILD_DIR/bench/exp_cpu" --smoke --seed=24145 \
 "$BUILD_DIR/tools/bench_compare" "$SMOKE_DIR/perf_smoke_cpu.json" \
     "$SMOKE_DIR/perf_smoke_cpu_scalar.json"
 
-step "simd sanitizer pass (ASan+UBSan over the intrinsics, -L simd)"
+step "simd + hotpath sanitizer pass (ASan+UBSan, -L \"simd|hotpath\")"
 # Compress-stores write up to kIntersectPadding elements past the logical
 # output; ASan proves the padding contract is honored, UBSan the pointer
-# arithmetic in the gallop kernels. Reuses the build-sanitize/ tree.
-tools/run_sanitized_tests.sh -L simd
+# arithmetic in the gallop kernels. The hotpath slice covers the
+# word-at-a-time codec reads, the primality pins and the decoder fuzz
+# smoke. Reuses the build-sanitize/ tree.
+tools/run_sanitized_tests.sh -L "simd|hotpath"
 
 step "telemetry overhead gate (exp_cpu --gate-overhead=50)"
 # The recorder hook may cost at most 50% on the un-instrumented hot path
