@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "util/rng.h"
 
@@ -21,7 +20,7 @@ class SharedRandomness {
   // Named substream: a fresh generator fully determined by (seed, label,
   // a, b). Both parties calling with identical arguments get identical
   // streams — the common-random-string access pattern.
-  util::Rng stream(std::string_view label, std::uint64_t a = 0,
+  util::Rng stream(util::StreamLabel label, std::uint64_t a = 0,
                    std::uint64_t b = 0) const {
     return master_.substream(label, a, b);
   }

@@ -41,15 +41,9 @@ Rng Rng::substream(std::uint64_t label) const {
   return Rng(mix64(seed_, label));
 }
 
-Rng Rng::substream(std::string_view label, std::uint64_t a,
+Rng Rng::substream(StreamLabel label, std::uint64_t a,
                    std::uint64_t b) const {
-  // FNV-1a over the label text, then fold in the numeric qualifiers.
-  std::uint64_t h = 14695981039346656037ull;
-  for (char c : label) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return Rng(mix64(mix64(seed_, h), mix64(a, b)));
+  return Rng(mix64(mix64(seed_, label.hash()), mix64(a, b)));
 }
 
 }  // namespace setint::util

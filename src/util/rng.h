@@ -9,9 +9,26 @@
 
 #include <bit>
 #include <cstdint>
-#include <string_view>
 
 namespace setint::util {
+
+// A substream label: the 64-bit FNV-1a hash of its text. The constructor
+// is consteval, so every label is a string literal hashed at compile time
+// and a substream derivation costs only its mixing at run time.
+class StreamLabel {
+ public:
+  consteval StreamLabel(const char* text) {  // NOLINT: implicit by design
+    for (; *text != '\0'; ++text) {
+      hash_ ^= static_cast<unsigned char>(*text);
+      hash_ *= 1099511628211ull;
+    }
+  }
+
+  constexpr std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ull;
+};
 
 // xoshiro256** seeded via SplitMix64. Not cryptographic; statistically
 // strong enough for the hash families and sampling used here.
@@ -45,7 +62,7 @@ class Rng {
   // advanced). Both parties holding the same seed derive identical
   // substreams — the mechanism behind shared randomness.
   Rng substream(std::uint64_t label) const;
-  Rng substream(std::string_view label, std::uint64_t a = 0,
+  Rng substream(StreamLabel label, std::uint64_t a = 0,
                 std::uint64_t b = 0) const;
 
   std::uint64_t seed() const { return seed_; }

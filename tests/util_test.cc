@@ -350,6 +350,15 @@ TEST(Rng, SubstreamLabelsSeparate) {
   EXPECT_NE(s1b.next(), s3.next());
 }
 
+TEST(Rng, StreamLabelIsFnv1aOfItsText) {
+  // Published FNV-1a 64 vectors: the empty string hashes to the offset
+  // basis. Checked at compile time, as every label is.
+  static_assert(util::StreamLabel("").hash() == 0xcbf29ce484222325ull);
+  static_assert(util::StreamLabel("a").hash() == 0xaf63dc4c8601ec8cull);
+  static_assert(util::StreamLabel("foobar").hash() == 0x85944171f73967e8ull);
+  SUCCEED();
+}
+
 TEST(Rng, BelowIsInRangeAndRoughlyUniform) {
   util::Rng rng(3);
   std::vector<int> counts(10, 0);
