@@ -43,6 +43,7 @@
 #include "hashing/modmath.h"
 #include "hashing/pairwise.h"
 #include "hashing/primes.h"
+#include "hashing/toeplitz_reference.h"
 #include "sim/channel.h"
 #include "sim/randomness.h"
 #include "simd/dispatch.h"
@@ -83,9 +84,9 @@ struct GoldenPin {
 // Constants mirrored from tests/golden_test.cc — update both together,
 // and only for a deliberate protocol change.
 constexpr GoldenPin kPins[] = {
-    {"verification_tree", 17718, 16, 0x076458b27132f643ull},
+    {"verification_tree", 17720, 16, 0x3232ee651ff37910ull},
     {"one_round_hash", 27686, 0, 0x9e818e562ca190cfull},
-    {"bucket_eq", 10201, 0, 0xc18884eae55cd105ull},
+    {"bucket_eq", 9908, 0, 0xfddb5a61a07f18c7ull},
 };
 
 bool run_identity_gate(bench::Reporter& rep, obs::EnvelopeAuditor& auditor) {
@@ -133,32 +134,6 @@ std::uint64_t pairwise_reference(const hashing::PairwiseHash& h,
   const std::uint64_t p = h.prime();
   const std::uint64_t ax = hashing::mulmod(h.multiplier(), x % p, p);
   return ((ax + h.offset()) % p) % h.range();
-}
-
-// Pre-change mask_hash: the generic per-word loop without the single-word
-// fast path (copied shape, same Rng draw order — outputs must match).
-std::uint64_t mask_hash_reference(const util::BitBuffer& data, unsigned bits,
-                                  util::Rng stream) {
-  const auto& words = data.words();
-  const std::size_t nbits = data.size_bits();
-  const std::size_t full = nbits / 64;
-  const unsigned tail = static_cast<unsigned>(nbits % 64);
-  const std::uint64_t tail_mask =
-      tail == 0 ? 0
-                : ((tail == 64) ? ~std::uint64_t{0}
-                                : ((std::uint64_t{1} << tail) - 1));
-  std::uint64_t out = 0;
-  for (unsigned b = 0; b < bits; ++b) {
-    unsigned parity = std::popcount(stream.next() & nbits) & 1u;
-    for (std::size_t w = 0; w < full; ++w) {
-      parity ^= std::popcount(stream.next() & words[w]) & 1u;
-    }
-    if (tail != 0) {
-      parity ^= std::popcount(stream.next() & words[full] & tail_mask) & 1u;
-    }
-    out |= static_cast<std::uint64_t>(parity) << b;
-  }
-  return out;
 }
 
 struct MicroResult {
@@ -241,7 +216,8 @@ bool run_substrate_micro(bench::Reporter& rep) {
     add_micro_row(t, "fks_mod_prime", n, reps, r, all_ok);
   }
 
-  {  // GF(2) mask hashing of single-word payloads (the bucket-EQ case).
+  {  // Toeplitz hashing of single-word payloads (the bucket-EQ case),
+     // against the bit-at-a-time definition.
     const std::size_t hashes = rep.smoke() ? (1u << 10) : (1u << 14);
     util::BitBuffer payload;
     payload.append_bits(rng.next() & ((std::uint64_t{1} << 24) - 1), 24);
@@ -251,7 +227,8 @@ bool run_substrate_micro(bench::Reporter& rep) {
     for (int rep_i = 0; rep_i < reps; ++rep_i) {
       std::uint64_t acc = 0;
       for (std::size_t i = 0; i < hashes; ++i) {
-        acc += mask_hash_reference(payload, 16, stream.substream(i));
+        acc += hashing::mask_hash_reference(payload, 16, stream.substream(i))
+                   .words()[0];
       }
       r.checksum_baseline = acc;
     }
@@ -601,14 +578,16 @@ bool run_bitmap_micro(bench::Reporter& rep) {
 bool run_simd_differential_gate(bench::Reporter& rep) {
   auto& t = rep.table(
       "E-CPU.7: scalar-vs-SIMD differential gate (forced tiers)",
-      {"tier", "intersect_cases", "hash_cases", "bitmap_cases", "identical"});
+      {"tier", "intersect_cases", "hash_cases", "bitmap_cases",
+       "toeplitz_cases", "identical"});
   bool all_ok = true;
   const int trials = rep.smoke() ? 12 : 60;
   const std::uint64_t universe = std::uint64_t{1} << 24;
 
   for (const simd::Tier tier : {simd::Tier::kScalar, simd::Tier::kAvx2}) {
     if (tier > simd::detected_tier()) continue;
-    std::uint64_t isect_cases = 0, hash_cases = 0, bitmap_cases = 0;
+    std::uint64_t isect_cases = 0, hash_cases = 0, bitmap_cases = 0,
+                  toeplitz_cases = 0;
     bool tier_ok = true;
     util::Rng rng(rep.seed_for(0xC7));  // same battery for every tier
 
@@ -677,10 +656,28 @@ bool run_simd_differential_gate(bench::Reporter& rep) {
       }
     }
 
+    // Toeplitz hashing (PCLMULQDQ or scalar carry-less multiply) under a
+    // forced tier vs the bit-at-a-time definition.
+    {
+      const simd::ScopedTierOverride forced(tier);
+      for (int trial = 0; trial < trials; ++trial) {
+        util::BitBuffer data;
+        const std::size_t nbits = rng.below(1u << 9);
+        for (std::size_t i = 0; i < nbits; ++i) data.append_bit(rng.coin());
+        const std::size_t bits = 1 + rng.below(1u << 8);
+        const util::Rng stream(rng.next());
+        util::BitBuffer hashed;
+        hashing::mask_hash_wide(data, bits, stream, hashed);
+        tier_ok = tier_ok &&
+                  hashed == hashing::mask_hash_reference(data, bits, stream);
+        ++toeplitz_cases;
+      }
+    }
+
     all_ok = all_ok && tier_ok;
     t.add_row({simd::tier_name(tier), bench::fmt_u64(isect_cases),
                bench::fmt_u64(hash_cases), bench::fmt_u64(bitmap_cases),
-               tier_ok ? "yes" : "NO"});
+               bench::fmt_u64(toeplitz_cases), tier_ok ? "yes" : "NO"});
   }
   t.print();
 

@@ -1,59 +1,76 @@
 #include "hashing/mask_hash.h"
 
-#include <bit>
+#include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <vector>
+
+#include "simd/kernels.h"
 
 namespace setint::hashing {
+
+namespace {
+
+// Words for one hash's message, key and output. A message of up to five
+// words hashed to at most 64 bits (the bucket-EQ^k and tree-stage shapes)
+// fits the inline array; the 2k-bit certificate goes to the heap.
+class ToeplitzScratch {
+ public:
+  std::uint64_t* get(std::size_t words) {
+    if (words <= kInline) return inline_;
+    heap_.resize(words);
+    return heap_.data();
+  }
+
+ private:
+  static constexpr std::size_t kInline = 16;
+  std::uint64_t inline_[kInline];
+  std::vector<std::uint64_t> heap_;
+};
+
+// Hashes `data` to `bits` >= 1 bits; the result lives in `scratch`.
+std::span<const std::uint64_t> toeplitz(const util::BitBuffer& data,
+                                        std::size_t bits, util::Rng stream,
+                                        ToeplitzScratch& scratch) {
+  const std::size_t nbits = data.size_bits();
+  const std::size_t data_words = (nbits + 63) / 64;
+  const std::size_t nm = 1 + data_words;
+  const std::size_t drawn = (64 * nm + bits - 1 + 63) / 64;
+  const std::size_t key_words = simd::toeplitz_key_words(nm, bits);
+  const std::size_t out_words = (bits + 63) / 64;
+
+  std::uint64_t* message = scratch.get(nm + key_words + out_words);
+  std::uint64_t* key = message + nm;
+  std::uint64_t* out = key + key_words;
+  message[0] = nbits;
+  std::copy_n(data.words().begin(), data_words, message + 1);
+  for (std::size_t i = 0; i < drawn; ++i) key[i] = stream.next();
+  std::fill(key + drawn, key + key_words, 0);
+  simd::toeplitz_hash({message, nm}, {key, key_words}, bits,
+                      {out, out_words});
+  return {out, out_words};
+}
+
+}  // namespace
 
 std::uint64_t mask_hash(const util::BitBuffer& data, unsigned bits,
                         util::Rng stream) {
   if (bits > 64) throw std::invalid_argument("mask_hash: bits > 64");
-  const auto& words = data.words();
-  const std::size_t nbits = data.size_bits();
-  const std::size_t full = nbits / 64;
-  const unsigned tail = static_cast<unsigned>(nbits % 64);
-  const std::uint64_t tail_mask =
-      tail == 0 ? 0 : ((tail == 64) ? ~std::uint64_t{0}
-                                    : ((std::uint64_t{1} << tail) - 1));
-  std::uint64_t out = 0;
-  if (nbits > 0 && nbits <= 64) {
-    // Single-word fast path (the common case: bucketed element payloads
-    // fit one word). Exactly two stream draws per hash bit, in the same
-    // order as the generic loop below, so the output is bit-identical.
-    const std::uint64_t word =
-        tail == 0 ? words[0] : (words[0] & tail_mask);
-    for (unsigned b = 0; b < bits; ++b) {
-      std::uint64_t acc = stream.next() & nbits;
-      acc ^= stream.next() & word;
-      out |= static_cast<std::uint64_t>(std::popcount(acc) & 1) << b;
-    }
-    return out;
-  }
-  for (unsigned b = 0; b < bits; ++b) {
-    // Parity of AND between data and a fresh mask. Length information is
-    // folded in via an extra mask word keyed on nbits so that messages that
-    // are prefixes of one another still hash independently. The parity of
-    // a XOR of words is the XOR of their parities, so the masked words
-    // fold into one accumulator and one popcount per output bit.
-    std::uint64_t acc = stream.next() & nbits;
-    for (std::size_t w = 0; w < full; ++w) acc ^= stream.next() & words[w];
-    if (tail != 0) acc ^= stream.next() & words[full] & tail_mask;
-    out |= static_cast<std::uint64_t>(std::popcount(acc) & 1) << b;
-  }
-  return out;
+  if (bits == 0) return 0;
+  ToeplitzScratch scratch;
+  return toeplitz(data, bits, stream, scratch)[0];
 }
 
 void mask_hash_wide(const util::BitBuffer& data, std::size_t bits,
                     const util::Rng& stream, util::BitBuffer& out) {
-  std::size_t emitted = 0;
-  std::uint64_t chunk_index = 0;
-  while (emitted < bits) {
-    const unsigned chunk =
-        static_cast<unsigned>(std::min<std::size_t>(64, bits - emitted));
-    out.append_bits(mask_hash(data, chunk, stream.substream(chunk_index)),
-                    chunk);
-    emitted += chunk;
-    ++chunk_index;
+  if (bits == 0) return;
+  ToeplitzScratch scratch;
+  const std::span<const std::uint64_t> hashed =
+      toeplitz(data, bits, stream, scratch);
+  for (std::size_t i = 0; i < hashed.size(); ++i) {
+    out.append_bits(hashed[i],
+                    static_cast<unsigned>(std::min<std::size_t>(
+                        64, bits - 64 * i)));
   }
 }
 

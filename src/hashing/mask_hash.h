@@ -1,9 +1,23 @@
-// GF(2) mask hashing: the hash family behind the equality test of
-// Fact 3.5. Each output bit is the inner product (mod 2) of the message
-// with a fresh pseudo-random mask derived from a shared substream. For
-// x != y each bit matches with probability exactly 1/2 independently, so a
-// b-bit hash gives one-sided error 2^-b; for x == y the hashes are always
-// identical.
+// Toeplitz GF(2) hashing (carry-less multiply): the hash family behind the
+// equality test of Fact 3.5, the universal family of Mansour–Nisan–Tiwari
+// and Krawczyk.
+//
+// The message is m = [nbits as one 64-bit word] ‖ the data words: nm =
+// 1 + ceil(nbits / 64) words, N = 64 nm bits, zero past nbits. The key r
+// is the first ceil((N + b - 1) / 64) words of the shared stream. Output
+// bit a < b is h_a = XOR_j m_j r_{N-1+a-j}: m times the b x N Toeplitz
+// matrix with entry (a, j) = r_{N-1+a-j}, which is the middle of the
+// carry-less product m * r (simd::toeplitz_hash: PCLMULQDQ or portable
+// scalar, bit-identical).
+//
+// Why x != y collide with probability exactly 2^-b: d = m_x ^ m_y is
+// nonzero, since the length word or the data differ. If d's highest set
+// bit is J, row a reads r_{N-1+a-J} and no later row does, so each row of
+// the difference is a fair coin given all later rows. Equal inputs always
+// hash equal, which keeps Fact 3.5's error one-sided.
+//
+// The entry points keep their historical "mask hash" names: the protocol
+// code and the repository benchmark (perfbench) call them by these names.
 #pragma once
 
 #include <cstdint>
@@ -13,15 +27,15 @@
 
 namespace setint::hashing {
 
-// b-bit mask hash of `data` using masks drawn from `stream` (the stream is
-// consumed; both parties must pass identically-seeded streams). b <= 64.
+// b-bit hash of `data` keyed by `stream` (the stream is consumed; both
+// parties must pass identically-seeded streams). b <= 64.
 std::uint64_t mask_hash(const util::BitBuffer& data, unsigned bits,
                         util::Rng stream);
 
-// Arbitrary-width mask hash: appends exactly `bits` hash bits to `out`
-// (composed of independent <= 64-bit chunks). Used where the error budget
-// calls for more than 64 bits, e.g. the top levels of the amortized
-// equality tree.
+// Arbitrary-width hash: appends exactly `bits` hash bits to `out`, the
+// same bits mask_hash would return for widths up to 64. Used where the
+// error budget calls for more than 64 bits, e.g. the 2k-bit certificate
+// and the top levels of the amortized equality tree.
 void mask_hash_wide(const util::BitBuffer& data, std::size_t bits,
                     const util::Rng& stream, util::BitBuffer& out);
 

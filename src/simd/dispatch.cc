@@ -15,13 +15,15 @@ CpuFeatures detect() {
   f.avx2 = __builtin_cpu_supports("avx2");
   f.sse4_1 = __builtin_cpu_supports("sse4.1");
   f.popcnt = __builtin_cpu_supports("popcnt");
+  f.pclmul = __builtin_cpu_supports("pclmul");
 #endif
   return f;
 }
 
 Tier tier_from_features(const CpuFeatures& f) {
-  // The AVX2 bitmap kernels lean on hardware popcount for their tails.
-  if (f.avx2 && f.popcnt) return Tier::kAvx2;
+  // The AVX2 bitmap kernels lean on hardware popcount for their tails,
+  // and the Toeplitz hash on PCLMULQDQ.
+  if (f.avx2 && f.popcnt && f.pclmul) return Tier::kAvx2;
   return Tier::kScalar;
 }
 

@@ -26,7 +26,8 @@
 namespace setint::simd {
 
 // Kernel tiers, ordered: the higher tier implies every capability of the
-// lower one. kAvx2 additionally assumes POPCNT (detection checks both).
+// lower one. kAvx2 additionally assumes POPCNT and PCLMULQDQ (detection
+// checks all three; every AVX2 part has both).
 enum class Tier : int {
   kScalar = 0,
   kAvx2 = 1,
@@ -39,6 +40,7 @@ struct CpuFeatures {
   bool avx2 = false;
   bool sse4_1 = false;
   bool popcnt = false;
+  bool pclmul = false;
 };
 
 // Features of the machine we are running on (detected once, cached).

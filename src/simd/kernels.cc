@@ -139,4 +139,26 @@ void bitmap_and(std::span<const std::uint64_t> a,
   scalar::bitmap_and(a.data(), b.data(), out.data(), a.size());
 }
 
+void toeplitz_hash(std::span<const std::uint64_t> message,
+                   std::span<const std::uint64_t> key, std::size_t bits,
+                   std::span<std::uint64_t> out) {
+  const std::size_t no = (bits + 63) / 64;
+  if (key.size() < toeplitz_key_words(message.size(), bits) ||
+      out.size() < no) {
+    throw std::invalid_argument("simd::toeplitz_hash: span too short");
+  }
+  if (no == 0) return;
+#if defined(__x86_64__) || defined(_M_X64)
+  if (active_tier() == Tier::kAvx2) {
+    avx2::toeplitz_hash(message.data(), message.size(), key.data(),
+                        out.data(), no);
+  } else
+#endif
+  {
+    scalar::toeplitz_hash(message.data(), message.size(), key.data(),
+                          out.data(), no);
+  }
+  if (bits % 64 != 0) out[no - 1] &= (std::uint64_t{1} << (bits % 64)) - 1;
+}
+
 }  // namespace setint::simd

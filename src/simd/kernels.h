@@ -1,9 +1,9 @@
 // The stable kernel API of the SIMD local-compute engine.
 //
-// Two kernel families, each dispatched at runtime across the tier ladder
-// of simd/dispatch.h (scalar / AVX2). Callers never see intrinsics; they
-// see plain functions over spans whose results are bit-identical on both
-// tiers:
+// Three kernel families, each dispatched at runtime across the tier
+// ladder of simd/dispatch.h (scalar / AVX2). Callers never see
+// intrinsics; they see plain functions over spans whose results are
+// bit-identical on both tiers:
 //
 //   1. adaptive sorted-set intersection — an intersectInt-style oracle
 //      (Lemire/Kurz lineage): a size-ratio heuristic selects scalar merge,
@@ -14,10 +14,16 @@
 //      kernels over the occupancy bitmaps that util::FlatBuckets CSR
 //      tables carry (core/bucket_eq joins them to skip memberless
 //      buckets).
+//   3. Toeplitz GF(2) hashing — the product of a message with a random
+//      Toeplitz matrix over GF(2), computed as a carry-less middle
+//      product (PCLMULQDQ on the AVX2 tier, a nibble-table carry-less
+//      multiply on the scalar tier). Backs hashing::mask_hash, the
+//      equality hash of Fact 3.5.
 //
 // Contract shared by every kernel: results equal the scalar reference for
-// all inputs (randomized differential suite: tests/simd_test.cc, pinned
-// again at bench time by exp_cpu's scalar-vs-SIMD gate). The selection
+// all inputs (randomized differential suites: tests/simd_test.cc, and
+// tests/hashing_test.cc Toeplitz.* for family 3, pinned again at bench
+// time by exp_cpu's scalar-vs-SIMD gate). The selection
 // heuristic and crossover table are documented in docs/PERFORMANCE.md.
 #pragma once
 
@@ -95,5 +101,31 @@ void bitmap_and(std::span<const std::uint64_t> a,
 inline bool bitmap_test(std::span<const std::uint64_t> bits, std::size_t i) {
   return (bits[i >> 6] >> (i & 63)) & 1u;
 }
+
+// ---------------------------------------------------------------------------
+// Family 3: Toeplitz GF(2) hashing
+// ---------------------------------------------------------------------------
+
+// Key words toeplitz_hash reads for an nm-word message and `bits` output
+// bits: nm + ceil(bits / 64). Only the first ceil((64 nm + bits - 1) / 64)
+// of them reach an output bit below `bits`; any further word only touches
+// bits that are cleared, so callers may leave it zero.
+inline constexpr std::size_t toeplitz_key_words(std::size_t nm,
+                                                std::size_t bits) {
+  return nm + (bits + 63) / 64;
+}
+
+// Writes `bits` hash bits, LSB-first, to out[0, ceil(bits / 64)). With
+// m_j the j-th of the N = 64 * message.size() message bits and r_i the
+// i-th key bit (both LSB-first across words), output bit a is
+// XOR_j m_j r_{N-1+a-j}: the message times the Toeplitz matrix whose
+// entry (a, j) is r_{N-1+a-j}, i.e. bits N-1 .. N-2+bits of the
+// carry-less product m * r. Bits of the last output word at or past
+// `bits` are zero. Throws std::invalid_argument when key.size() <
+// toeplitz_key_words(message.size(), bits) or out is shorter than
+// ceil(bits / 64).
+void toeplitz_hash(std::span<const std::uint64_t> message,
+                   std::span<const std::uint64_t> key, std::size_t bits,
+                   std::span<std::uint64_t> out);
 
 }  // namespace setint::simd

@@ -1,7 +1,8 @@
-// AVX2 tier: 4-wide 64-bit kernels. This translation unit is compiled
-// with -mavx2 -mpopcnt (per-file flags in src/CMakeLists.txt) and must
-// only be entered when the dispatcher has confirmed those features via
-// cpuid — nothing here may be called from generic code paths directly.
+// AVX2 tier: 4-wide 64-bit kernels and the PCLMULQDQ Toeplitz product.
+// This translation unit is compiled with -mavx2 -mpopcnt -mpclmul
+// (per-file flags in src/CMakeLists.txt) and must only be entered when
+// the dispatcher has confirmed those features via cpuid — nothing here
+// may be called from generic code paths directly.
 
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -170,6 +171,51 @@ void bitmap_and(const std::uint64_t* a, const std::uint64_t* b,
                         _mm256_and_si256(va, vb));
   }
   for (; i < n; ++i) out[i] = a[i] & b[i];
+}
+
+namespace {
+
+// XOR_w m[w] * key[-w]: with key = r + nm - 1 + j this is the product
+// P_{nm-1+j} that kernels_scalar.cc derives the output words from. Two
+// PCLMULQDQs per pair of 128-bit loads, accumulated in registers.
+inline __m128i toeplitz_product(const std::uint64_t* m, std::size_t nm,
+                                const std::uint64_t* key) {
+  __m128i even = _mm_setzero_si128();
+  __m128i odd = _mm_setzero_si128();
+  std::size_t w = 0;
+  for (; w + 2 <= nm; w += 2) {
+    // mw = (m[w], m[w+1]), kw = (key[-w-1], key[-w]).
+    const __m128i mw =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(m + w));
+    const __m128i kw =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(key - w - 1));
+    even = _mm_xor_si128(even, _mm_clmulepi64_si128(mw, kw, 0x10));
+    odd = _mm_xor_si128(odd, _mm_clmulepi64_si128(mw, kw, 0x01));
+  }
+  if (w < nm) {
+    const __m128i mw = _mm_cvtsi64_si128(static_cast<long long>(m[w]));
+    const __m128i kw = _mm_cvtsi64_si128(static_cast<long long>(*(key - w)));
+    even = _mm_xor_si128(even, _mm_clmulepi64_si128(mw, kw, 0x00));
+  }
+  return _mm_xor_si128(even, odd);
+}
+
+}  // namespace
+
+// The scalar tier's output words from no + 1 products, each product
+// accumulated over the whole message before the next one starts.
+void toeplitz_hash(const std::uint64_t* m, std::size_t nm,
+                   const std::uint64_t* r, std::uint64_t* out, std::size_t no) {
+  const std::uint64_t* key = r + nm - 1;
+  __m128i cur = toeplitz_product(m, nm, key);
+  for (std::size_t o = 0; o < no; ++o) {
+    const __m128i next = toeplitz_product(m, nm, key + o + 1);
+    const auto lo = static_cast<std::uint64_t>(_mm_cvtsi128_si64(cur));
+    const auto hi = static_cast<std::uint64_t>(_mm_extract_epi64(cur, 1));
+    const auto next_lo = static_cast<std::uint64_t>(_mm_cvtsi128_si64(next));
+    out[o] = (lo >> 63) ^ (hi << 1) ^ (next_lo << 1);
+    cur = next;
+  }
 }
 
 }  // namespace setint::simd::avx2

@@ -34,6 +34,12 @@ std::uint64_t bitmap_and_count(const std::uint64_t* a, const std::uint64_t* b,
 void bitmap_and(const std::uint64_t* a, const std::uint64_t* b,
                 std::uint64_t* out, std::size_t n);
 
+// Every output word of the Toeplitz product (simd::toeplitz_hash) of the
+// nm-word message m with key r (nm + no words) into out[0, no), the last
+// word unmasked.
+void toeplitz_hash(const std::uint64_t* m, std::size_t nm,
+                   const std::uint64_t* r, std::uint64_t* out, std::size_t no);
+
 }  // namespace scalar
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -50,6 +56,8 @@ std::uint64_t bitmap_and_count(const std::uint64_t* a, const std::uint64_t* b,
                                std::size_t n);
 void bitmap_and(const std::uint64_t* a, const std::uint64_t* b,
                 std::uint64_t* out, std::size_t n);
+void toeplitz_hash(const std::uint64_t* m, std::size_t nm,
+                   const std::uint64_t* r, std::uint64_t* out, std::size_t no);
 
 }  // namespace avx2
 

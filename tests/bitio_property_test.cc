@@ -16,6 +16,7 @@
 #include "hashing/fks.h"
 #include "hashing/mask_hash.h"
 #include "hashing/pairwise.h"
+#include "hashing/toeplitz_reference.h"
 #include "util/bitio.h"
 #include "util/rng.h"
 #include "util/set_util.h"
@@ -599,42 +600,27 @@ TEST(BatchedHash, SeedRoundTripPreservesBatchedImage) {
   }
 }
 
-// Bit-at-a-time reference for mask_hash: one stream draw for the length
-// word, then one per data word, per output bit — no single-word shortcut.
-std::uint64_t mask_hash_reference(const BitBuffer& data, unsigned bits,
-                                  Rng stream) {
-  const auto& words = data.words();
-  const std::size_t nbits = data.size_bits();
-  const std::size_t full = nbits / 64;
-  const unsigned tail = static_cast<unsigned>(nbits % 64);
-  const std::uint64_t tail_mask =
-      tail == 0 ? 0 : (std::uint64_t{1} << tail) - 1;
-  std::uint64_t out = 0;
-  for (unsigned b = 0; b < bits; ++b) {
-    unsigned parity = std::popcount(stream.next() & nbits) & 1u;
-    for (std::size_t w = 0; w < full; ++w) {
-      parity ^= std::popcount(stream.next() & words[w]) & 1u;
-    }
-    if (tail != 0) {
-      parity ^= std::popcount(stream.next() & words[full] & tail_mask) & 1u;
-    }
-    out |= static_cast<std::uint64_t>(parity) << b;
-  }
-  return out;
-}
-
-TEST(BatchedHash, MaskHashSingleWordFastPathMatchesReference) {
+// mask_hash and mask_hash_wide against the bit-at-a-time Toeplitz
+// definition, for lengths straddling the one-word boundary and widths
+// straddling the 64-bit one.
+TEST(BatchedHash, MaskHashMatchesToeplitzReference) {
   Rng rng(0x3A5C);
   for (int trial = 0; trial < 400; ++trial) {
-    // Lengths straddling the single-word fast-path boundary (0..130 bits).
     const std::size_t nbits = rng.below(131);
     BitBuffer data;
     for (std::size_t i = 0; i < nbits; ++i) data.append_bit(rng.coin());
-    const unsigned bits = 1 + static_cast<unsigned>(rng.below(64));
+    const unsigned bits = 1 + static_cast<unsigned>(rng.below(130));
     const Rng stream = Rng(0xC0FFEE).substream(trial);
-    EXPECT_EQ(hashing::mask_hash(data, bits, stream),
-              mask_hash_reference(data, bits, stream))
-        << "nbits " << nbits << " bits " << bits;
+    const BitBuffer expected =
+        hashing::mask_hash_reference(data, bits, stream);
+    BitBuffer wide;
+    hashing::mask_hash_wide(data, bits, stream, wide);
+    EXPECT_TRUE(wide == expected) << "nbits " << nbits << " bits " << bits;
+    if (bits <= 64) {
+      BitBuffer narrow;
+      narrow.append_bits(hashing::mask_hash(data, bits, stream), bits);
+      EXPECT_TRUE(narrow == expected) << "nbits " << nbits << " bits " << bits;
+    }
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the hashing substrate: modular arithmetic, Miller-Rabin,
 // random primes, the Carter-Wegman pairwise family, FKS compression, and
-// GF(2) mask hashing.
+// Toeplitz GF(2) hashing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +13,9 @@
 #include "hashing/modmath.h"
 #include "hashing/pairwise.h"
 #include "hashing/primes.h"
+#include "hashing/toeplitz_reference.h"
+#include "simd/dispatch.h"
+#include "simd/kernels.h"
 #include "util/rng.h"
 #include "util/set_util.h"
 
@@ -436,6 +439,214 @@ TEST(MaskHash, RejectsOverwideSingle) {
   util::BitBuffer data;
   util::Rng stream(1);
   EXPECT_THROW(hashing::mask_hash(data, 65, stream), std::invalid_argument);
+}
+
+// ---------- the Toeplitz family behind mask_hash ----------
+
+std::vector<simd::Tier> hash_tiers() {
+  std::vector<simd::Tier> tiers{simd::Tier::kScalar};
+  if (simd::detected_tier() == simd::Tier::kAvx2) {
+    tiers.push_back(simd::Tier::kAvx2);
+  }
+  return tiers;
+}
+
+// One message of the exhaustive tests: [length word] ‖ data word, or the
+// bare length word when the length is 0.
+struct SmallMessage {
+  std::uint64_t words[2];
+  std::size_t nm;
+};
+
+// Runs every message through every assignment of the key bits at
+// `positions` (the other key bits fixed at random), on both kernels, and
+// requires each pair of messages to collide on exactly
+// 2^(positions - b) of them: a collision probability of exactly 2^-b.
+void expect_exact_collisions(const std::vector<SmallMessage>& messages,
+                             const std::vector<unsigned>& positions,
+                             unsigned b, util::Rng& rng) {
+  const std::size_t n = messages.size();
+  const std::uint64_t want = std::uint64_t{1} << (positions.size() - b);
+  for (const simd::Tier tier : hash_tiers()) {
+    const simd::ScopedTierOverride forced(tier);
+    std::vector<std::uint64_t> key{rng.next(), rng.next(), rng.next()};
+    std::vector<std::uint64_t> counts(n * n, 0);
+    std::vector<std::uint64_t> h(n);
+    for (std::uint64_t r = 0; r < (std::uint64_t{1} << positions.size());
+         ++r) {
+      for (std::size_t i = 0; i < positions.size(); ++i) {
+        const std::uint64_t bit = std::uint64_t{1} << (positions[i] % 64);
+        std::uint64_t& word = key[positions[i] / 64];
+        word = ((r >> i) & 1u) != 0 ? (word | bit) : (word & ~bit);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        simd::toeplitz_hash({messages[i].words, messages[i].nm}, key, b,
+                            {&h[i], 1});
+      }
+      for (std::size_t x = 0; x < n; ++x) {
+        for (std::size_t y = x + 1; y < n; ++y) {
+          counts[x * n + y] += h[x] == h[y];
+        }
+      }
+    }
+    for (std::size_t x = 0; x < n; ++x) {
+      for (std::size_t y = x + 1; y < n; ++y) {
+        ASSERT_EQ(counts[x * n + y], want)
+            << simd::tier_name(tier) << " b=" << b << " pair " << x << ","
+            << y;
+      }
+    }
+  }
+}
+
+std::vector<unsigned> span_of_positions(unsigned first, unsigned last) {
+  std::vector<unsigned> out;
+  for (unsigned p = first; p <= last; ++p) out.push_back(p);
+  return out;
+}
+
+// Messages [L] ‖ x of one length L <= 6 differ only in data bits j in
+// 64..63+L, so row a < b of a difference reads key bits 127+a-j: bits
+// 64-L .. 62+b, L+b-1 of them. Each pair collides on exactly 2^(L-1).
+TEST(Toeplitz, ExhaustiveSameLengthCollisionsAreExact) {
+  util::Rng rng(0x70e1);
+  for (unsigned len = 1; len <= 6; ++len) {
+    std::vector<SmallMessage> messages;
+    for (std::uint64_t x = 0; x < (std::uint64_t{1} << len); ++x) {
+      messages.push_back({{len, x}, 2});
+    }
+    for (unsigned b = 1; b <= 6; ++b) {
+      SCOPED_TRACE(testing::Message() << "L=" << len);
+      expect_exact_collisions(messages, span_of_positions(64 - len, 62 + b),
+                              b, rng);
+    }
+  }
+}
+
+// Every message of length 0..4, where the length word differs too: with
+// N = 128 the data bits 64..67 reach key bits 60 .. 62+b and the length
+// bits 0..2 reach 125 .. 126+b (the empty message hashes to 0). Each pair
+// collides on exactly 2^(2b+5-b) assignments of those 2b+5 bits.
+TEST(Toeplitz, ExhaustiveMixedLengthCollisionsAreExact) {
+  std::vector<SmallMessage> messages;
+  for (std::uint64_t len = 0; len <= 4; ++len) {
+    for (std::uint64_t x = 0; x < (std::uint64_t{1} << len); ++x) {
+      messages.push_back({{len, x}, len == 0 ? std::size_t{1} : 2});
+    }
+  }
+  util::Rng rng(0x70e2);
+  for (unsigned b = 1; b <= 4; ++b) {
+    std::vector<unsigned> positions = span_of_positions(60, 62 + b);
+    for (const unsigned p : span_of_positions(125, 126 + b)) {
+      positions.push_back(p);
+    }
+    expect_exact_collisions(messages, positions, b, rng);
+  }
+}
+
+TEST(Toeplitz, KernelMatchesBitAtATimeDefinition) {
+  util::Rng rng(0x70e3);
+  for (const simd::Tier tier : hash_tiers()) {
+    const simd::ScopedTierOverride forced(tier);
+    for (int trial = 0; trial < 200; ++trial) {
+      const std::size_t nm = 1 + rng.below(6);
+      const std::size_t bits = 1 + rng.below(200);
+      std::vector<std::uint64_t> message(nm);
+      std::vector<std::uint64_t> key(simd::toeplitz_key_words(nm, bits));
+      for (auto& w : message) w = rng.next();
+      for (auto& w : key) w = rng.next();
+      std::vector<std::uint64_t> got((bits + 63) / 64);
+      simd::toeplitz_hash(message, key, bits, got);
+      EXPECT_EQ(got, hashing::toeplitz_reference(message, key, bits))
+          << simd::tier_name(tier) << " nm=" << nm << " bits=" << bits;
+    }
+  }
+}
+
+TEST(Toeplitz, KernelRejectsShortSpans) {
+  const std::uint64_t message[2] = {1, 1};
+  std::vector<std::uint64_t> key(simd::toeplitz_key_words(2, 65));
+  std::vector<std::uint64_t> out(2);
+  EXPECT_NO_THROW(simd::toeplitz_hash(message, key, 65, out));
+  EXPECT_THROW(simd::toeplitz_hash(message, {key.data(), key.size() - 1}, 65,
+                                   out),
+               std::invalid_argument);
+  EXPECT_THROW(simd::toeplitz_hash(message, key, 65, {out.data(), 1}),
+               std::invalid_argument);
+}
+
+// Messages that differ only in length (all-zero data of 0, 63, 64 and 65
+// bits) or that are bit-prefixes of one another still collide at 2^-b.
+TEST(Toeplitz, LengthsHashIndependently) {
+  util::Rng rng(0x70e4);
+  std::vector<util::BitBuffer> messages;
+  for (const std::size_t len : {0u, 63u, 64u, 65u}) {
+    util::BitBuffer zeros;
+    for (std::size_t i = 0; i < len; ++i) zeros.append_bit(false);
+    messages.push_back(zeros);
+  }
+  util::BitBuffer random;
+  for (int i = 0; i < 65; ++i) random.append_bit(rng.coin());
+  for (const std::size_t len : {1u, 63u, 64u, 65u}) {
+    util::BitBuffer prefix = random;
+    prefix.truncate(len);
+    messages.push_back(prefix);
+  }
+  const unsigned bits = 6;  // expected collisions: trials / 64 = 62.5
+  const int trials = 4000;
+  const util::Rng stream(0x70e5);
+  for (std::size_t x = 0; x < messages.size(); ++x) {
+    for (std::size_t y = x + 1; y < messages.size(); ++y) {
+      int collisions = 0;
+      for (int i = 0; i < trials; ++i) {
+        const util::Rng s = stream.substream(static_cast<std::uint64_t>(i));
+        collisions += hashing::mask_hash(messages[x], bits, s) ==
+                      hashing::mask_hash(messages[y], bits, s);
+      }
+      EXPECT_GE(collisions, 31) << "pair " << x << "," << y;  // mean - 4 sd
+      EXPECT_LE(collisions, 94) << "pair " << x << "," << y;  // mean + 4 sd
+    }
+  }
+}
+
+// Scalar vs PCLMULQDQ through mask_hash_wide, up to the k=4096
+// certificate shape (~1,200 message words to 8,192 bits).
+TEST(Toeplitz, ScalarAndClmulAgree) {
+  if (simd::detected_tier() != simd::Tier::kAvx2) {
+    GTEST_SKIP() << "no PCLMULQDQ tier on this machine";
+  }
+  util::Rng rng(0x70e7);
+  struct Shape {
+    std::size_t nbits, bits;
+  };
+  std::vector<Shape> shapes;
+  for (const std::size_t bits : {1u, 63u, 64u, 65u}) {
+    shapes.push_back({rng.below(64 * 40), bits});
+  }
+  shapes.push_back({64 * 1199 + 17, 8192});
+  for (int trial = 0; trial < 24; ++trial) {
+    shapes.push_back({rng.below(64 * 1199), 1 + rng.below(8192)});
+  }
+  for (const Shape& shape : shapes) {
+    util::BitBuffer data;
+    for (std::size_t i = 0; i < shape.nbits; i += 64) {
+      const auto w =
+          static_cast<unsigned>(std::min<std::size_t>(64, shape.nbits - i));
+      data.append_bits(w == 64 ? rng.next() : rng.next() >> (64 - w), w);
+    }
+    const util::Rng stream(rng.next());
+    util::BitBuffer scalar, clmul;
+    {
+      const simd::ScopedTierOverride forced(simd::Tier::kScalar);
+      hashing::mask_hash_wide(data, shape.bits, stream, scalar);
+    }
+    {
+      const simd::ScopedTierOverride forced(simd::Tier::kAvx2);
+      hashing::mask_hash_wide(data, shape.bits, stream, clmul);
+    }
+    EXPECT_TRUE(scalar == clmul)
+        << "nbits " << shape.nbits << " bits " << shape.bits;
+  }
 }
 
 // --- The division-free reduction engine (hashing/barrett.h) -----------------

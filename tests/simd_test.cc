@@ -54,10 +54,11 @@ std::vector<std::uint64_t> make_canonical(util::Rng& rng, std::size_t n,
 TEST(SimdDispatch, TierLadderIsConsistent) {
   const simd::CpuFeatures& f = simd::detected_features();
   const Tier hw = simd::detected_tier();
-  // The AVX2 tier needs both of its cpuid bits.
+  // The AVX2 tier needs all three of its cpuid bits.
   if (hw == Tier::kAvx2) {
     EXPECT_TRUE(f.avx2);
     EXPECT_TRUE(f.popcnt);
+    EXPECT_TRUE(f.pclmul);
   }
   // active_tier never exceeds the hardware.
   EXPECT_LE(static_cast<int>(simd::active_tier()), static_cast<int>(hw));

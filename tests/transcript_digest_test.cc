@@ -88,7 +88,7 @@ TEST(TranscriptDigest, BucketEq) {
   sim::SharedRandomness sh(31337);
   const auto out = core::bucket_eq_intersection(ch, sh, 7, kUniverse, p.s, p.t);
   EXPECT_EQ(out.alice, p.expected_intersection);
-  expect_pin(ch, {4285u, 46u, 0x86c456de5495ada7ull});
+  expect_pin(ch, {4407u, 48u, 0xaece9db02f96fd7dull});
 }
 
 TEST(TranscriptDigest, BasicIntersection) {
@@ -108,7 +108,7 @@ TEST(TranscriptDigest, ToyProtocol) {
   sim::SharedRandomness sh(31337);
   const auto out = core::toy_bucket_intersection(ch, sh, 7, kUniverse, p.s, p.t);
   EXPECT_EQ(out.alice, p.expected_intersection);
-  expect_pin(ch, {6391u, 12u, 0x8050d4ac26394e88ull});
+  expect_pin(ch, {6391u, 12u, 0xdcc050f9cacfc19dull});
 }
 
 // One pin per tree depth: r=1 (the one-round base case), r=2 (one real
@@ -116,8 +116,8 @@ TEST(TranscriptDigest, ToyProtocol) {
 TEST(TranscriptDigest, VerificationTreeDepths) {
   const RunPin pins[] = {
       {12322u, 2u, 0x36c9418be963de9dull},   // r=1
-      {10574u, 8u, 0x2555644ef1bb7fa3ull},   // r=2
-      {8928u, 20u, 0x2cb7e9e0ecbacad5ull},   // r=0 (auto)
+      {10574u, 8u, 0x580ff71742567cf9ull},   // r=2
+      {8816u, 16u, 0x642d0d1b3aa64d6bull},   // r=0 (auto)
   };
   const int depths[] = {1, 2, 0};
   const util::SetPair p = reference_pair();
@@ -141,7 +141,7 @@ TEST(TranscriptDigest, PrivateCoin) {
   const auto out =
       core::private_coin_intersection(ch, priv, kUniverse, p.s, p.t, {});
   EXPECT_EQ(out.alice, p.expected_intersection);
-  expect_pin(ch, {8901u, 18u, 0x8a404eecbff2b953ull});
+  expect_pin(ch, {9003u, 22u, 0xf3698ed8ee2f71cfull});
 }
 
 // Checkpoint determinism (docs/ROBUSTNESS.md § checkpoint granularity):
@@ -182,7 +182,7 @@ TEST(TranscriptDigest, VerificationTreeResumesToSamePin) {
       ch, sh, 7, kUniverse, p.s, p.t, params, nullptr, &ckpt);
   EXPECT_EQ(out.alice, p.expected_intersection);
   EXPECT_EQ(ckpt.restores(), 1u);
-  expect_pin(ch, {10574u, 8u, 0x2555644ef1bb7fa3ull});
+  expect_pin(ch, {10574u, 8u, 0x580ff71742567cf9ull});
 }
 
 TEST(TranscriptDigest, BucketEqResumesToSamePin) {
@@ -201,7 +201,7 @@ TEST(TranscriptDigest, BucketEqResumesToSamePin) {
                                                 3, nullptr, &ckpt);
   EXPECT_EQ(out.alice, p.expected_intersection);
   EXPECT_GE(ckpt.restores(), 1u);
-  expect_pin(ch, {4285u, 46u, 0x86c456de5495ada7ull});
+  expect_pin(ch, {4407u, 48u, 0xaece9db02f96fd7dull});
 }
 
 TEST(TranscriptDigest, MultipartyCoordinator) {
@@ -213,9 +213,9 @@ TEST(TranscriptDigest, MultipartyCoordinator) {
   const auto res =
       multiparty::coordinator_intersection(net, sh, 1u << 20, inst.sets);
   EXPECT_EQ(res.intersection, inst.expected_intersection);
-  EXPECT_EQ(net.total_bits(), 20186u);
-  EXPECT_EQ(net.rounds(), 22u);
-  EXPECT_EQ(net.max_player_bits(), 20186u);
+  EXPECT_EQ(net.total_bits(), 20232u);
+  EXPECT_EQ(net.rounds(), 18u);
+  EXPECT_EQ(net.max_player_bits(), 20232u);
 }
 
 TEST(TranscriptDigest, MultipartyTournament) {
@@ -227,9 +227,9 @@ TEST(TranscriptDigest, MultipartyTournament) {
   const auto res =
       multiparty::tournament_intersection(net, sh, 1u << 20, inst.sets);
   EXPECT_EQ(res.intersection, inst.expected_intersection);
-  EXPECT_EQ(net.total_bits(), 12086u);
+  EXPECT_EQ(net.total_bits(), 12023u);
   EXPECT_EQ(net.rounds(), 46u);
-  EXPECT_EQ(net.max_player_bits(), 4777u);
+  EXPECT_EQ(net.max_player_bits(), 4751u);
 }
 
 // ---------- the certified session, one pin per ladder rung ----------
@@ -316,7 +316,7 @@ TEST(CertifiedSessionPin, CleanExact) {
       run_certified(0xC1EA, [](multiparty::SessionHooks&) {});
   const SessionPin want{
       {762u, 1466u, 2375u, 2763u, 3456u, 3979u},
-      {507u, 343u, 164u, 12u, 12u},
+      {579u, 379u, 200u, 16u, 16u},
       /*repetitions=*/1u,
       /*verified=*/true,
       /*degraded=*/false,
@@ -326,12 +326,12 @@ TEST(CertifiedSessionPin, CleanExact) {
       core::DegradeRung::kExact,
       /*refused=*/false,
       core::BudgetDimension::kNone,
-      /*recorder_digest=*/0x617114d60210e04ull,
-      {{"bi.batches", 1u},
-       {"bi.instances", 12u},
+      /*recorder_digest=*/0x98fe3b788091eafeull,
+      {{"bi.batches", 2u},
+       {"bi.instances", 13u},
        {"mp.repetitions", 1u},
        {"mp.verified_runs", 1u},
-       {"vt.bi_runs", 12u},
+       {"vt.bi_runs", 13u},
        {"vt.stage_failures", 12u}}};
   EXPECT_EQ(describe(pin), describe(want));
 }
@@ -346,7 +346,7 @@ TEST(CertifiedSessionPin, FaultPlanRetries) {
       0xFA07, [&](multiparty::SessionHooks& hooks) { hooks.faults = &plan; });
   const SessionPin want{
       {1048u, 1278u, 1298u, 2192u, 2528u, 3651u},
-      {1122u, 690u, 432u, 16u, 16u},
+      {1273u, 763u, 510u, 20u, 20u},
       /*repetitions=*/2u,
       /*verified=*/true,
       /*degraded=*/false,
@@ -356,9 +356,9 @@ TEST(CertifiedSessionPin, FaultPlanRetries) {
       core::DegradeRung::kExact,
       /*refused=*/false,
       core::BudgetDimension::kNone,
-      /*recorder_digest=*/0x8ebc7a1c8357faeeull,
-      {{"bi.batches", 2u},
-       {"bi.instances", 24u},
+      /*recorder_digest=*/0x30558cd4debd8547ull,
+      {{"bi.batches", 3u},
+       {"bi.instances", 25u},
        {"fault.drops", 1u},
        {"fault.injected", 1u},
        {"fault.integrity_failures", 1u},
@@ -366,7 +366,7 @@ TEST(CertifiedSessionPin, FaultPlanRetries) {
        {"mp.verified_runs", 1u},
        {"retry.attempts", 1u},
        {"retry.decode_failures", 1u},
-       {"vt.bi_runs", 12u},
+       {"vt.bi_runs", 13u},
        {"vt.stage_failures", 12u}}};
   EXPECT_EQ(describe(pin), describe(want));
 }
@@ -382,29 +382,29 @@ TEST(CertifiedSessionPin, ChaosCrashResumesFromCheckpoint) {
       0xC406, [&](multiparty::SessionHooks& hooks) { hooks.chaos = &plan; });
   const SessionPin want{
       {401u, 571u, 2226u, 2867u, 3670u, 3926u},
-      {582u, 435u, 147u, 15u, 20u},
+      {693u, 517u, 176u, 23u, 28u},
       /*repetitions=*/1u,
       /*verified=*/true,
       /*degraded=*/false,
       /*restarts=*/2u,
-      /*bits_replayed=*/110u,
+      /*bits_replayed=*/191u,
       /*peer_lost=*/false,
       core::DegradeRung::kExact,
       /*refused=*/false,
       core::BudgetDimension::kNone,
-      /*recorder_digest=*/0x7989fd2188eb28d5ull,
-      {{"bi.batches", 2u},
-       {"bi.instances", 24u},
+      /*recorder_digest=*/0xa692024da31d2ba2ull,
+      {{"bi.batches", 4u},
+       {"bi.instances", 26u},
        {"chaos.crash_blocks", 2u},
        {"chaos.crashes", 2u},
        {"chaos.restarts", 2u},
-       {"checkpoint.bits_replayed", 110u},
+       {"checkpoint.bits_replayed", 191u},
        {"checkpoint.restores", 1u},
        {"checkpoint.resume_successes", 1u},
        {"checkpoint.snapshots", 3u},
        {"mp.repetitions", 1u},
        {"mp.verified_runs", 1u},
-       {"vt.bi_runs", 12u},
+       {"vt.bi_runs", 13u},
        {"vt.stage_failures", 12u}}};
   EXPECT_EQ(describe(pin), describe(want));
 }
@@ -426,7 +426,7 @@ TEST(CertifiedSessionPin, BitCapDegrades) {
       core::DegradeRung::kFlaggedSuperset,
       /*refused=*/false,
       core::BudgetDimension::kBits,
-      /*recorder_digest=*/0xb3bf35bc5129f2a4ull,
+      /*recorder_digest=*/0xa46988b6da89c204ull,
       {{"bi.batches", 2u},
        {"bi.instances", 12u},
        {"budget.checks", 2u},
@@ -449,7 +449,7 @@ TEST(CertifiedSessionPin, BitCapRefuses) {
       });
   const SessionPin want{
       {},
-      {399u, 221u, 178u, 6u, 6u},
+      {403u, 222u, 181u, 6u, 6u},
       /*repetitions=*/1u,
       /*verified=*/false,
       /*degraded=*/false,
@@ -459,17 +459,17 @@ TEST(CertifiedSessionPin, BitCapRefuses) {
       core::DegradeRung::kRefused,
       /*refused=*/true,
       core::BudgetDimension::kBits,
-      /*recorder_digest=*/0x32dfdc55bc4d1f60ull,
+      /*recorder_digest=*/0xc4c08cb83953ecaeull,
       {{"bi.batches", 1u},
-       {"bi.instances", 10u},
+       {"bi.instances", 11u},
        {"budget.checks", 2u},
        {"budget.exhausted_bits", 1u},
        {"budget.exhaustions", 1u},
        {"budget.refusals", 1u},
        {"checkpoint.restores", 0u},
        {"checkpoint.snapshots", 1u},
-       {"vt.bi_runs", 10u},
-       {"vt.stage_failures", 10u}}};
+       {"vt.bi_runs", 11u},
+       {"vt.stage_failures", 11u}}};
   EXPECT_EQ(describe(pin), describe(want));
 }
 
